@@ -13,6 +13,14 @@ a time grid of size D:
 
 and the original-frame step is exp(-iG tau) applied after the segment.
 
+The per-order totals D^k C_k are evaluated by grid doubling (Chen's
+identity for iterated sums over joined intervals): the grid evolutions
+E(d) are products of log2(D) bit evolutions E_j, all functions of G, so
+they commute and the residual on the upper half of a doubled grid is the
+lower half conjugated by one bit evolution.  That turns the D-point sums
+into log2(D) merge steps of (K+1)(K+2)/2 matmuls each; the bit evolutions
+are checked to commute before the merge.
+
 Two evaluation tiers share this assembly.  The circuit tier draws every
 leaf block from honest circuit extraction (controlled-evolution cascades,
 the sparse-piece encodings); the dense tier substitutes the verified dense
@@ -32,13 +40,15 @@ import numpy as np
 
 from .blockenc import (BlockEncoding, amplification_degree, fixed_point_aa,
                        unitary_with_first_column)
-from .errors import ConfigurationError, GraphStructureError, ParameterError
+from .errors import (ConfigurationError, EncodingError, GraphStructureError,
+                     ParameterError, ResourceError)
 from .ffhub import (build_expG, classical_expG_apply, hub_block_factor,
                     link_norm, spectrum_G)
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
-from .qstate import (Circuit, DenseGate, FunctionalPermutation, LazyCircuit,
-                     RegisterLayout, hadamard_layer, qubit_cap)
+from .qstate import (DEFAULT_EXTRACT_SYSTEM_CAP, Circuit, DenseGate,
+                     FunctionalPermutation, LazyCircuit, RegisterLayout,
+                     hadamard_layer, qubit_cap)
 from .sparse_enc import encode_H2
 
 
@@ -188,6 +198,15 @@ def _grid_blocks(bit_blocks: list[np.ndarray], lo: int, hi: int,
     return out
 
 
+def _check_full_block_width(width: int, stage: str) -> None:
+    """Refuse the dense (D 2^n)^2 block of a grid-indexed encoding whose
+    system register (log2(D) + n qubits) exceeds the dense-extraction cap."""
+    if width > DEFAULT_EXTRACT_SYSTEM_CAP:
+        raise ResourceError(
+            f"dense {stage} block over log2(D) + n = {width} qubits exceeds "
+            f"dense-extraction cap {DEFAULT_EXTRACT_SYSTEM_CAP}", stage=stage)
+
+
 # -- controlled-evolution select and dressed residual -------------------------
 
 
@@ -207,6 +226,7 @@ class SelectGEncoding(BlockEncoding):
         return blocks[0]
 
     def _full_block(self) -> np.ndarray:
+        _check_full_block_width(self.n_sys, "select_g")
         dim = self._dim
         total = np.zeros((self.big_d * dim, self.big_d * dim),
                          dtype=np.complex128)
@@ -276,6 +296,7 @@ class DressedResidualEncoding(BlockEncoding):
         return e_d.conj().T @ self.h2_norm_block @ e_d
 
     def _full_block(self) -> np.ndarray:
+        _check_full_block_width(self.n_sys, "dressed_h2")
         dim = self._dim
         total = np.zeros((self.big_d * dim, self.big_d * dim),
                          dtype=np.complex128)
@@ -330,39 +351,73 @@ def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
 # -- segment assembly ----------------------------------------------------------
 
 
-def _ordered_series_totals(bit_blocks, h2_block, big_d: int, big_k: int,
-                           dim: int) -> list[np.ndarray]:
-    """T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), k = 0 .. K,
-    with B(d) the normalized dressed residual at grid point d.
+def _check_commuting(bit_blocks) -> None:
+    """Raise EncodingError unless every pair of bit evolutions commutes to
+    within 1e-12 (largest entry of the commutator)."""
+    stack = np.stack(bit_blocks)
+    for i in range(len(bit_blocks) - 1):
+        rest = stack[i + 1:]
+        comm = stack[i] @ rest - rest @ stack[i]
+        worst = float(np.max(np.abs(comm)))
+        if worst > 1e-12:
+            raise EncodingError(
+                f"bit evolutions do not commute: max|[E_{i}, E_j]| = "
+                f"{worst:.3e} > 1e-12")
 
-    Uses the prefix recursion P_j(d) = P_j(d-1) + B(d) P_{j-1}(d), chunked
-    over the grid to bound memory.
+
+def _ordered_series_totals(bit_blocks, h2_block: np.ndarray,
+                           big_k: int) -> list[np.ndarray]:
+    """T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), k = 0 .. K,
+    with B(d) = E(d)^dag H2 E(d) the normalized dressed residual at grid
+    point d.
+
+    Grid doubling (Chen's identity for iterated sums over joined
+    intervals): the totals over [0, 2^(j+1)) split by how many indices fall
+    in the upper half [2^j, 2^(j+1)), where B(d + 2^j) = E_j^dag B(d) E_j
+    because all bit evolutions E_j are functions of G and commute.  Starting
+    from the single point d=0, where T_k = H2^k, each bit block, low to
+    high, updates
+
+        T_k <- sum_{a+b=k} U_a T_b,   U_0 = I,  U_a = E_j^dag T_a E_j,
+
+    for log2(D) (K+1)(K+2)/2 matmuls in all.  U_0 is the exact identity
+    because extracted circuit-tier blocks are unitary only to within their
+    encoding error; a block with unitarity defect delta moves T_k off the
+    D-point sum by about k log2(D) delta relative.  Raises EncodingError
+    when the bit blocks do not commute to 1e-12.
     """
+    dim = h2_block.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     if big_k == 0:
         return [eye]
-    chunk = max(1, min(big_d, (1 << 22) // max(1, dim * dim * (big_k + 1))))
-    carries = [None] * (big_k + 1)
-    carries[0] = None  # P_0 is the constant identity; handled implicitly
+    _check_commuting(bit_blocks)
+    # series[k - 1] holds T_k for k = 1 .. K; the a = 1 .. k-1 products of
+    # one order are batched into a single matmul call
+    series = np.empty((big_k, dim, dim), dtype=np.complex128)
+    series[0] = h2_block
+    for k in range(1, big_k):
+        series[k] = h2_block @ series[k - 1]
+    for e_j in bit_blocks:
+        upper = e_j.conj().T @ series @ e_j
+        joined = series + upper
+        for k in range(2, big_k + 1):
+            joined[k - 1] += np.sum(upper[:k - 1] @ series[k - 2::-1], axis=0)
+        series = joined
+    return [eye] + list(series)
+
+
+def _segment_registers(big_k: int, log_d: int, m_h2: int,
+                       n: int) -> list[tuple[str, int]]:
+    """Register list of the assembled segment circuit, ancillas first and
+    the system register last."""
+    regs = [("kidx", max(1, big_k.bit_length()))]
     for j in range(1, big_k + 1):
-        carries[j] = np.zeros((dim, dim), dtype=np.complex128)
-    for lo in range(0, big_d, chunk):
-        hi = min(big_d, lo + chunk)
-        e_grid = _grid_blocks(bit_blocks, lo, hi, dim)
-        b_grid = np.conj(np.swapaxes(e_grid, 1, 2)) @ (h2_block @ e_grid)
-        p_prev = np.broadcast_to(eye, (hi - lo, dim, dim))
-        for j in range(1, big_k + 1):
-            terms = b_grid @ p_prev
-            p_cur = np.cumsum(terms, axis=0) + carries[j]
-            carries[j] = p_cur[-1].copy()
-            p_prev = p_cur
-    return [eye] + [carries[j] for j in range(1, big_k + 1)]
-
-
-def _segment_ancilla_count(big_k: int, log_d: int, m_h2: int) -> int:
-    k_idx = max(1, (big_k + 1 - 1).bit_length()) if big_k else 0
-    flags = 2 * max(0, big_k - 1)
-    return k_idx + big_k * log_d + flags + 16 + m_h2
+        regs.append((f"t{j}", log_d))
+    if big_k > 1:
+        regs.append(("pflag", big_k - 1))
+        regs.append(("oflag", big_k - 1))
+    regs += [("cga", 8), ("h2bank", m_h2), ("cgb", 8), ("sys", n)]
+    return regs
 
 
 def _build_segment_circuit(graph, config, leaves, select, weights):
@@ -375,14 +430,8 @@ def _build_segment_circuit(graph, config, leaves, select, weights):
     log_d = int(math.log2(big_d))
     h2_be = leaves.h2_encoding()
     m_h2 = h2_be.m
-    regs = [("kidx", max(1, (big_k).bit_length()))]
-    for j in range(1, big_k + 1):
-        regs.append((f"t{j}", log_d))
-    if big_k > 1:
-        regs.append(("pflag", big_k - 1))
-        regs.append(("oflag", big_k - 1))
-    regs += [("cga", 8), ("h2bank", m_h2), ("cgb", 8), ("sys", n)]
-    layout = RegisterLayout(*regs, stage="dyson_segment")
+    layout = RegisterLayout(*_segment_registers(big_k, log_d, m_h2, n),
+                            stage="dyson_segment")
     circ = Circuit(layout, label="dyson_segment")
     kw = layout.reg_width("kidx")
 
@@ -491,8 +540,7 @@ def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
 
     weights = [(tau * alpha2_enc) ** k for k in range(big_k + 1)]
     lam = float(sum(weights))
-    totals = _ordered_series_totals(select.bit_blocks, h2_block, big_d,
-                                    big_k, dim)
+    totals = _ordered_series_totals(select.bit_blocks, h2_block, big_k)
 
     def block_fn():
         out = np.zeros((dim, dim), dtype=np.complex128)
@@ -500,7 +548,8 @@ def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
             out += ((-1j * tau * alpha2_enc) ** k / big_d ** k / lam) * totals[k]
         return out
 
-    m_seg = _segment_ancilla_count(big_k, log_d, m_h2)
+    m_seg = sum(width for _, width in
+                _segment_registers(big_k, log_d, m_h2, n)[:-1])
     phase_weights = [(-1j * tau * alpha2_enc) ** k for k in range(big_k + 1)]
     unitary = LazyCircuit(
         m_seg + n,

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+from conftest import random_graph_params
 
 from hubsim import dyson, netgraph, refcheck
 from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, default_config
-from hubsim.errors import (ConfigurationError, ParameterError, ResourceError)
+from hubsim.errors import (ConfigurationError, EncodingError, ParameterError,
+                           ResourceError)
 from hubsim.qstate import RegisterLayout, StateVector, extract_block, spectral_norm
 
 
@@ -73,6 +77,20 @@ def test_selectg_honest_circuit_block_diagonal(dg8):
                 assert np.max(np.abs(sub)) <= 1e-10
 
 
+def test_full_grid_blocks_are_resource_guarded(dg8):
+    # log2(4096) + 3 = 15 system qubits: a (D 2^n)^2 dense block of 16 GiB
+    sel = dyson.build_selectG(dg8, tau=1.0 / 16.0, big_d=4096, eps=1e-2,
+                              backend="dense")
+    with pytest.raises(ResourceError) as err:
+        sel.block()
+    assert err.value.stage == "select_g"
+    dr = dyson.build_dressed_H2(dg8, tau=1.0 / 16.0, big_d=4096, eps=1e-2,
+                                backend="dense")
+    with pytest.raises(ResourceError) as err:
+        dr.block()
+    assert err.value.stage == "dressed_h2"
+
+
 def test_dressed_d0_is_residual(dg8, dg8_dense):
     dr = dyson.build_dressed_H2(dg8, tau=0.5, big_d=4, eps=1e-8)
     target = (dg8_dense["A"] - dg8_dense["G"]) / dr.alpha
@@ -108,6 +126,70 @@ def test_segment_order_zero_is_identity(dg8):
     cfg = DysonConfig(1.0 / 16.0, 4, 0, 1e-3)
     seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
     assert spectral_norm(seg.alpha * seg.block() - np.eye(8)) == 0.0
+
+
+_SMALL_HUB_PARAMS = [p for p in random_graph_params()
+                     if p[0] <= 16 and p[1] > 0]
+_TOTALS_GRAPHS = [("dg8", "circuit"), ("dg8", "dense"),
+                  (_SMALL_HUB_PARAMS[0], "circuit"),
+                  (_SMALL_HUB_PARAMS[-1], "circuit")]
+
+
+@pytest.mark.parametrize("big_d", [2, 8])
+@pytest.mark.parametrize("graph_key,backend", _TOTALS_GRAPHS)
+def test_series_totals_match_brute_force_ordered_sum(graph_key, backend,
+                                                     big_d):
+    # T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), enumerated
+    # directly from the dressed residual blocks
+    if graph_key == "dg8":
+        graph = netgraph.dg8()
+    else:
+        graph = netgraph.generate(*graph_key, rng_seed=3)
+    _, alpha2 = dyson.evolution_scales(graph)
+    tau = 1.0 / (2.0 * alpha2)
+    eps = 1e-3
+    # same per-unitary budget as the segment's own select cascade
+    dressed = dyson.build_dressed_H2(graph, tau, big_d, eps * 2.5 / 4.0,
+                                     backend=backend)
+    b_grid = [dressed.d_block(d) for d in range(big_d)]
+    dim = 2 ** graph.n_qubits
+    # doubling conjugates whole products by one bit evolution, which equals
+    # the product of conjugated factors only up to the unitarity defect of
+    # the extracted blocks (about 1e-10 in the circuit tier, 0 when dense)
+    defect = max(spectral_norm(e.conj().T @ e - np.eye(dim))
+                 for e in dressed.bit_blocks)
+    log_d = int(np.log2(big_d))
+    for big_k in (1, 2, 3):
+        seg = dyson.dyson_segment(graph, DysonConfig(tau, big_d, big_k, eps),
+                                  backend=backend, check_budget=False)
+        for k in range(1, big_k + 1):
+            brute = np.zeros((dim, dim), dtype=np.complex128)
+            for combo in itertools.combinations_with_replacement(
+                    range(big_d), k):
+                prod = np.eye(dim, dtype=np.complex128)
+                for d in combo:
+                    prod = b_grid[d] @ prod
+                brute += prod
+            scale = max(1.0, np.max(np.abs(brute)))
+            assert np.max(np.abs(seg.series_totals[k] - brute)) \
+                <= (1e-10 + k * log_d * defect) * scale
+
+
+def test_series_totals_reject_noncommuting_bit_blocks():
+    rng = np.random.default_rng(5)
+
+    def random_unitary(dim):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, r = np.linalg.qr(z)
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    h2 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(np.complex128)
+    diagonal = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
+                for _ in range(3)]
+    assert len(dyson._ordered_series_totals(diagonal, h2, 2)) == 3
+    blocks = [random_unitary(8) for _ in range(3)]
+    with pytest.raises(EncodingError):
+        dyson._ordered_series_totals(blocks, h2, 2)
 
 
 def test_segment_first_order_hub_free():
@@ -209,6 +291,15 @@ def test_segment_circuit_constructs_under_raised_cap(dg8, monkeypatch):
     circ = seg.unitary.materialize()
     assert circ.width == seg.m + 3
     assert len(circ.steps) > 4
+
+
+@pytest.mark.parametrize("big_k", [0, 1, 3])
+def test_segment_width_matches_materialized_circuit(dg8, monkeypatch,
+                                                    big_k):
+    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
+    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
+    assert seg.unitary.materialize().width == seg.m + 3
 
 
 def test_segment_amplification(dg8):
