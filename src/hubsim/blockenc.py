@@ -11,8 +11,9 @@ encodings keeps the factors' ancilla banks disjoint, which is what makes
 the combined block equal the algebraic combination of sub-blocks; every
 constructor therefore carries an efficient ``block`` path that evaluates
 the combination densely without touching the full-width Hilbert space.
-The full-width unitary remains available for direct application where the
-qubit budget allows.
+The amplified circuit, L applications of the encoding for the odd degree
+L, is built on first use, never eagerly: the ``block`` path does not need
+it, and materializing it checks the qubit cap.
 
 All encodings are immutable after construction and safe to share between
 threads.
@@ -25,9 +26,9 @@ import math
 import numpy as np
 
 from .errors import EncodingError, ParameterError, RegisterError
-from .qstate import (Circuit, DenseGate, GlobalPhase, LinearOperator,
-                     RegisterLayout, extract_block, phase1_gate, spectral_norm,
-                     x_gate)
+from .qstate import (Circuit, DenseGate, GlobalPhase, LazyCircuit,
+                     LinearOperator, RegisterLayout, extract_block,
+                     phase1_gate, spectral_norm, x_gate)
 
 
 class BlockEncoding:
@@ -56,14 +57,17 @@ class BlockEncoding:
                 self._block_cache = np.asarray(self._block_fn(),
                                                dtype=np.complex128)
             else:
-                self._block_cache = extract_block(self.unitary, self.n_sys)
+                self._block_cache = self._full_block()
         return self._block_cache
+
+    def _full_block(self) -> np.ndarray:
+        """Block without a ``block_fn``: circuit extraction.  Subclasses
+        override this, since a bound method as ``block_fn`` is a reference
+        cycle that keeps the encoding alive until a full collection."""
+        return extract_block(self.unitary, self.n_sys)
 
     def apply_block(self, vec: np.ndarray) -> np.ndarray:
         return self.block() @ np.asarray(vec, dtype=np.complex128)
-
-    def scaled_block(self) -> np.ndarray:
-        return self.alpha * self.block()
 
     def gate_count(self) -> int:
         return self.unitary.gate_count()
@@ -341,12 +345,8 @@ def fixed_point_aa(be: BlockEncoding, delta: float, eps: float) -> BlockEncoding
         circ.append(GlobalPhase(correction), qubits=[])
         return circ
 
-    from .qstate import LazyCircuit, qubit_cap
-    if 1 + m + n <= qubit_cap():
-        circ: LinearOperator = build_circuit()
-    else:
-        circ = LazyCircuit(1 + m + n, build_circuit, label="amplified",
-                           stage="fixed_point_aa")
+    circ = LazyCircuit(1 + m + n, build_circuit, label="amplified",
+                       stage="fixed_point_aa")
 
     def block_fn():
         u_svd, sig, vh_svd = np.linalg.svd(be.block())

@@ -26,9 +26,10 @@ leaf block from honest circuit extraction (controlled-evolution cascades,
 the sparse-piece encodings); the dense tier substitutes the verified dense
 blocks, which keeps the combinatorial assembly testable up to larger N.
 Combined blocks follow the exact composition rules for disjoint ancilla
-banks, so no full-width state is ever materialized; the assembled unitaries
-are still constructed (lazily) with complete register bookkeeping, and
-raise a resource error if someone tries to run one past the qubit cap.
+banks, so no full-width state is ever materialized.  The composite circuits
+(the select cascade, the dressed residual, the segment) carry complete
+register bookkeeping but are built on first use, never eagerly, and raise
+a resource error if someone tries to run one past the qubit cap.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from .blockenc import (BlockEncoding, amplification_degree, fixed_point_aa,
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError, ResourceError)
 from .ffhub import (build_expG, classical_expG_apply, hub_block_factor,
-                    link_norm, spectrum_G)
+                    link_norm)
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
 from .qstate import (DEFAULT_EXTRACT_SYSTEM_CAP, Circuit, DenseGate,
                      FunctionalPermutation, LazyCircuit, RegisterLayout,
-                     hadamard_layer, qubit_cap)
+                     hadamard_layer)
 from .sparse_enc import encode_H2
 
 
@@ -133,29 +134,22 @@ class _LeafBlocks:
         self.backend = backend
         self.oracles = oracle_set
         self._h2 = None
+        self._exp_g: dict[tuple[float, float], BlockEncoding] = {}
         if backend == "circuit" and self.oracles is None:
             self.oracles = build_oracle_set(graph)
 
     def exp_g_encoding(self, t: float, eps: float) -> BlockEncoding:
-        return build_expG(self.graph, t, eps, self.oracles)
+        """Encoding of exp(-iGt) to eps, built once per (t, eps)."""
+        key = (t, eps)
+        if key not in self._exp_g:
+            self._exp_g[key] = build_expG(self.graph, t, eps, self.oracles)
+        return self._exp_g[key]
 
     def exp_g_block(self, t: float, eps: float) -> np.ndarray:
         if self.backend == "circuit":
             return self.exp_g_encoding(t, eps).block()
-        return self._dense_exp_g(t)
-
-    def _dense_exp_g(self, t: float) -> np.ndarray:
-        dim = 2 ** self.graph.n_qubits
-        eye = np.eye(dim, dtype=np.complex128)
-        if self.graph.m_hubs == 0 or t == 0.0:
-            return eye
-        spec = spectrum_G(self.graph)
-        out = eye.copy()
-        out += (np.exp(-1j * spec.lambda_plus * t) - 1.0) \
-            * np.outer(spec.psi_plus, spec.psi_plus.conj())
-        out += (np.exp(-1j * spec.lambda_minus * t) - 1.0) \
-            * np.outer(spec.psi_minus, spec.psi_minus.conj())
-        return out
+        eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
+        return classical_expG_apply(self.graph, t, eye)
 
     def h2_encoding(self) -> BlockEncoding:
         if self._h2 is None:
@@ -175,14 +169,6 @@ class _LeafBlocks:
         return dense / alpha2, alpha2, m_book
 
 
-def _bit_blocks(leaves: _LeafBlocks, tau: float, big_d: int,
-                eps_unit: float) -> list[np.ndarray]:
-    """Blocks of exp(-iG tau 2^j / D) for j = 0 .. log2(D) - 1."""
-    log_d = int(math.log2(big_d))
-    return [leaves.exp_g_block(tau * (2 ** j) / big_d, eps_unit)
-            for j in range(log_d)]
-
-
 def _grid_blocks(bit_blocks: list[np.ndarray], lo: int, hi: int,
                  dim: int) -> np.ndarray:
     """E(d) for d in [lo, hi): products of the selected bit evolutions,
@@ -198,41 +184,46 @@ def _grid_blocks(bit_blocks: list[np.ndarray], lo: int, hi: int,
     return out
 
 
-def _check_full_block_width(width: int, stage: str) -> None:
-    """Refuse the dense (D 2^n)^2 block of a grid-indexed encoding whose
-    system register (log2(D) + n qubits) exceeds the dense-extraction cap."""
-    if width > DEFAULT_EXTRACT_SYSTEM_CAP:
-        raise ResourceError(
-            f"dense {stage} block over log2(D) + n = {width} qubits exceeds "
-            f"dense-extraction cap {DEFAULT_EXTRACT_SYSTEM_CAP}", stage=stage)
-
-
 # -- controlled-evolution select and dressed residual -------------------------
 
 
 class SelectGEncoding(BlockEncoding):
-    """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d."""
+    """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
 
-    def __init__(self, unitary, big_d, n_sys_nodes, bit_blocks, eps, label):
-        self.big_d = big_d
+    D = 2^len(bit_blocks), and the ancillas are the qubits of the unitary
+    beyond the log2(D) + n system qubits.  Subclasses change only ``_at``,
+    the block at one grid point as a function of its evolution E(d)."""
+
+    stage = "select_g"
+
+    def __init__(self, unitary, bit_blocks, eps, alpha=1.0):
         self.bit_blocks = bit_blocks
-        self._dim = 2 ** n_sys_nodes
-        log_d = int(math.log2(big_d))
-        super().__init__(unitary, 1.0, 8, log_d + n_sys_nodes, eps=eps,
-                         block_fn=self._full_block, label=label)
+        self.big_d = 2 ** len(bit_blocks)
+        self._dim = bit_blocks[0].shape[0]
+        n_sys = len(bit_blocks) + int(math.log2(self._dim))
+        super().__init__(unitary, alpha, unitary.width - n_sys, n_sys,
+                         eps=eps, label=self.stage)
+
+    def _at(self, e_d: np.ndarray) -> np.ndarray:
+        return e_d
 
     def d_block(self, d: int) -> np.ndarray:
-        blocks = _grid_blocks(self.bit_blocks, d, d + 1, self._dim)
-        return blocks[0]
+        return self._at(_grid_blocks(self.bit_blocks, d, d + 1, self._dim)[0])
 
     def _full_block(self) -> np.ndarray:
-        _check_full_block_width(self.n_sys, "select_g")
+        # refuse the dense (D 2^n)^2 block past the dense-extraction cap
+        if self.n_sys > DEFAULT_EXTRACT_SYSTEM_CAP:
+            raise ResourceError(
+                f"dense {self.stage} block over log2(D) + n = {self.n_sys} "
+                f"qubits exceeds dense-extraction cap "
+                f"{DEFAULT_EXTRACT_SYSTEM_CAP}", stage=self.stage)
         dim = self._dim
         total = np.zeros((self.big_d * dim, self.big_d * dim),
                          dtype=np.complex128)
         grid = _grid_blocks(self.bit_blocks, 0, self.big_d, dim)
         for d in range(self.big_d):
-            total[d * dim:(d + 1) * dim, d * dim:(d + 1) * dim] = grid[d]
+            total[d * dim:(d + 1) * dim, d * dim:(d + 1) * dim] = \
+                self._at(grid[d])
         return total
 
 
@@ -246,7 +237,8 @@ def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
     tau 2^j / D, each built to per-unitary error below eps / (2 log2 D) so
     the cascaded error telescopes within eps; the cascade shares a single
     8-qubit ancilla bank, which is sound because each factor is a
-    unit-factor encoding of a unitary.
+    unit-factor encoding of a unitary.  The cascade circuit is built on
+    first use, from the same bit encodings as the blocks.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
@@ -254,7 +246,8 @@ def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
     log_d = int(math.log2(big_d))
     eps_unit = eps / (2.0 * log_d * (log_d + 1))
     leaves = _LeafBlocks(graph, backend, oracle_set)
-    bit_blocks = _bit_blocks(leaves, tau, big_d, eps_unit)
+    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps_unit)
+                  for j in range(log_d)]
 
     def build_circuit():
         layout = RegisterLayout(("bank", 8), ("d", log_d), ("sys", n),
@@ -269,42 +262,22 @@ def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
                         controls=[(ctrl_axis, 1)])
         return circ
 
-    width = 8 + log_d + n
-    if backend == "circuit" and width <= qubit_cap():
-        unitary = build_circuit()
-    else:
-        unitary = LazyCircuit(width, build_circuit, label="select_g",
-                              stage="select_g")
-    return SelectGEncoding(unitary, big_d, n, bit_blocks, eps, "select_g")
+    unitary = LazyCircuit(8 + log_d + n, build_circuit, label="select_g",
+                          stage="select_g")
+    return SelectGEncoding(unitary, bit_blocks, eps)
 
 
-class DressedResidualEncoding(BlockEncoding):
+class DressedResidualEncoding(SelectGEncoding):
     """Encoding of sum_d |d><d| (x) e^{iG d tau/D} (A - G) e^{-iG d tau/D}."""
 
-    def __init__(self, unitary, big_d, n_sys_nodes, bit_blocks, h2_block,
-                 alpha2, m_total, eps, label):
-        self.big_d = big_d
-        self.bit_blocks = bit_blocks
+    stage = "dressed_h2"
+
+    def __init__(self, unitary, bit_blocks, h2_block, alpha2, eps):
         self.h2_norm_block = h2_block
-        self._dim = 2 ** n_sys_nodes
-        log_d = int(math.log2(big_d))
-        super().__init__(unitary, alpha2, m_total, log_d + n_sys_nodes,
-                         eps=eps, block_fn=self._full_block, label=label)
+        super().__init__(unitary, bit_blocks, eps, alpha=alpha2)
 
-    def d_block(self, d: int) -> np.ndarray:
-        e_d = _grid_blocks(self.bit_blocks, d, d + 1, self._dim)[0]
+    def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d.conj().T @ self.h2_norm_block @ e_d
-
-    def _full_block(self) -> np.ndarray:
-        _check_full_block_width(self.n_sys, "dressed_h2")
-        dim = self._dim
-        total = np.zeros((self.big_d * dim, self.big_d * dim),
-                         dtype=np.complex128)
-        grid = _grid_blocks(self.bit_blocks, 0, self.big_d, dim)
-        for d in range(self.big_d):
-            blk = grid[d].conj().T @ self.h2_norm_block @ grid[d]
-            total[d * dim:(d + 1) * dim, d * dim:(d + 1) * dim] = blk
-        return total
 
 
 def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
@@ -314,7 +287,8 @@ def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
 
     The two cascades and the residual encoding keep three disjoint ancilla
     banks (8 + m + 8 qubits), so the combined block is exactly the product
-    of the three sub-blocks, grid value by grid value.
+    of the three sub-blocks, grid value by grid value.  The cascade gets
+    eps / 2.5 of the budget.  The circuit is built on first use.
     """
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
@@ -322,7 +296,6 @@ def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
     select = build_selectG(graph, tau, big_d, eps / 2.5, leaves.oracles,
                            backend=backend)
     h2_block, alpha2, m_h2 = leaves.h2_block()
-    m_total = 16 + m_h2
 
     def build_circuit():
         layout = RegisterLayout(("cga", 8), ("h2bank", m_h2), ("cgb", 8),
@@ -337,15 +310,10 @@ def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
                     qubits=list(layout.axes("cgb")) + d_sys, adjoint=True)
         return circ
 
-    width = m_total + log_d + n
-    if backend == "circuit" and width <= qubit_cap():
-        unitary = build_circuit()
-    else:
-        unitary = LazyCircuit(width, build_circuit, label="dressed_h2",
-                              stage="dressed_h2")
-    return DressedResidualEncoding(unitary, big_d, n, select.bit_blocks,
-                                   h2_block, alpha2, m_total, eps,
-                                   "dressed_h2")
+    unitary = LazyCircuit(16 + m_h2 + log_d + n, build_circuit,
+                          label="dressed_h2", stage="dressed_h2")
+    return DressedResidualEncoding(unitary, select.bit_blocks, h2_block,
+                                   alpha2, eps)
 
 
 # -- segment assembly ----------------------------------------------------------
@@ -406,7 +374,7 @@ def _ordered_series_totals(bit_blocks, h2_block: np.ndarray,
     return [eye] + list(series)
 
 
-def _segment_registers(big_k: int, log_d: int, m_h2: int,
+def _segment_registers(big_k: int, log_d: int, m_bank: int,
                        n: int) -> list[tuple[str, int]]:
     """Register list of the assembled segment circuit, ancillas first and
     the system register last."""
@@ -416,11 +384,11 @@ def _segment_registers(big_k: int, log_d: int, m_h2: int,
     if big_k > 1:
         regs.append(("pflag", big_k - 1))
         regs.append(("oflag", big_k - 1))
-    regs += [("cga", 8), ("h2bank", m_h2), ("cgb", 8), ("sys", n)]
+    regs += [("bank", m_bank), ("sys", n)]
     return regs
 
 
-def _build_segment_circuit(graph, config, leaves, select, weights):
+def _build_segment_circuit(graph, config, dressed):
     """Honest assembled segment circuit: order-index prepare, per-slot time
     registers with ordering tests, shared-bank dressed applications with
     carry flags, and the unprepare.  Construction only; running it needs a
@@ -428,20 +396,19 @@ def _build_segment_circuit(graph, config, leaves, select, weights):
     n = graph.n_qubits
     big_k, big_d = config.big_k, config.big_d
     log_d = int(math.log2(big_d))
-    h2_be = leaves.h2_encoding()
-    m_h2 = h2_be.m
-    layout = RegisterLayout(*_segment_registers(big_k, log_d, m_h2, n),
+    layout = RegisterLayout(*_segment_registers(big_k, log_d, dressed.m, n),
                             stage="dyson_segment")
     circ = Circuit(layout, label="dyson_segment")
     kw = layout.reg_width("kidx")
 
+    weights = [(-1j * config.tau * dressed.alpha) ** k
+               for k in range(big_k + 1)]
     col = np.zeros(2 ** kw, dtype=np.complex128)
     col[:len(weights)] = np.sqrt(np.asarray(weights)
                                  / np.sum(np.abs(weights)))
     circ.append(DenseGate(unitary_with_first_column(col), label="prep_k"),
                 on=["kidx"])
-    bank = (list(layout.axes("cga")) + list(layout.axes("h2bank"))
-            + list(layout.axes("cgb")))
+    bank = list(layout.axes("bank"))
     bank_w = len(bank)
 
     def bank_flag_gate():
@@ -468,17 +435,10 @@ def _build_segment_circuit(graph, config, leaves, select, weights):
                         controls=[("kidx", k_val)])
     for j in range(1, big_k + 1):
         for k_val in range(j, big_k + 1):
-            circ.append(select.unitary,
-                        qubits=list(layout.axes("cga")) + list(layout.axes(f"t{j}"))
+            circ.append(dressed.unitary,
+                        qubits=bank + list(layout.axes(f"t{j}"))
                         + list(layout.axes("sys")),
                         controls=[("kidx", k_val)])
-            circ.append(h2_be.unitary,
-                        qubits=list(layout.axes("h2bank")) + list(layout.axes("sys")),
-                        controls=[("kidx", k_val)])
-            circ.append(select.unitary,
-                        qubits=list(layout.axes("cgb")) + list(layout.axes(f"t{j}"))
-                        + list(layout.axes("sys")),
-                        controls=[("kidx", k_val)], adjoint=True)
         if j < big_k:
             flag_axis = layout.axes("pflag")[j - 1]
             circ.append(bank_flag_gate(), qubits=bank + [flag_axis])
@@ -495,6 +455,13 @@ def _build_segment_circuit(graph, config, leaves, select, weights):
     circ.append(DenseGate(unitary_with_first_column(np.conj(col)),
                           label="unprep_k"), on=["kidx"], adjoint=True)
     return circ
+
+
+class _SegmentEncoding(BlockEncoding):
+    """Segment encoding whose block is its own truncated series."""
+
+    def _full_block(self) -> np.ndarray:
+        return segment_block_at_order(self, self.config.big_k) / self.alpha
 
 
 def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
@@ -530,38 +497,24 @@ def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
                 f"2(alpha1+alpha2)tau/eps_segment = {d_needed:.3e}")
 
     n = graph.n_qubits
-    dim = 2 ** n
     log_d = int(math.log2(big_d))
-    leaves = _LeafBlocks(graph, backend, oracle_set)
-    eps_units = eps_seg / 4.0
-    select = build_selectG(graph, tau, big_d, eps_units, leaves.oracles,
-                           backend=backend)
-    h2_block, alpha2_enc, m_h2 = leaves.h2_block()
-
-    weights = [(tau * alpha2_enc) ** k for k in range(big_k + 1)]
-    lam = float(sum(weights))
-    totals = _ordered_series_totals(select.bit_blocks, h2_block, big_k)
-
-    def block_fn():
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for k in range(big_k + 1):
-            out += ((-1j * tau * alpha2_enc) ** k / big_d ** k / lam) * totals[k]
-        return out
+    # the select cascade inside gets eps_seg / 4
+    dressed = build_dressed_H2(graph, tau, big_d, 2.5 * eps_seg / 4.0,
+                               oracle_set, backend=backend)
+    lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
+    totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
+                                    big_k)
 
     m_seg = sum(width for _, width in
-                _segment_registers(big_k, log_d, m_h2, n)[:-1])
-    phase_weights = [(-1j * tau * alpha2_enc) ** k for k in range(big_k + 1)]
+                _segment_registers(big_k, log_d, dressed.m, n)[:-1])
     unitary = LazyCircuit(
-        m_seg + n,
-        lambda: _build_segment_circuit(graph, config, leaves, select,
-                                       phase_weights),
+        m_seg + n, lambda: _build_segment_circuit(graph, config, dressed),
         label="dyson_segment", stage="dyson_segment")
-    be = BlockEncoding(unitary, lam, m_seg, n, eps=eps_seg,
-                       block_fn=block_fn, label="dyson_segment")
+    be = _SegmentEncoding(unitary, lam, m_seg, n, eps=eps_seg,
+                          label="dyson_segment")
     be.config = config
-    be.select = select
     be.series_totals = totals
-    be.alpha2_enc = alpha2_enc
+    be.alpha2_enc = dressed.alpha
     return be
 
 
@@ -654,6 +607,10 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     """
     if method not in ("circuit", "classical-ff"):
         raise ParameterError(f"unknown method {method!r}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps must be finite and positive, got {eps}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
     report_v = validate(graph)
     if not report_v.passed:
         raise GraphStructureError("; ".join(report_v.failures()))
@@ -663,8 +620,6 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         raise ParameterError(f"psi0 must have length {dim}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ParameterError("psi0 must be normalized")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
     alpha1, alpha2 = evolution_scales(graph)
     backend = "circuit" if method == "circuit" else "dense"
 

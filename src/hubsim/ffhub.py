@@ -59,16 +59,17 @@ def spectrum_G(graph: HubSparseGraph) -> GSpectrum:
 
 def classical_expG_apply(graph: HubSparseGraph, t: float,
                          state: np.ndarray) -> np.ndarray:
-    """exp(-iGt) state in O(N): identity plus the two rotated eigenprojectors."""
+    """exp(-iGt) state in O(N) per column: identity plus the two rotated
+    eigenprojectors.  ``state`` is a vector or a matrix of columns."""
     state = np.asarray(state, dtype=np.complex128)
     if graph.m_hubs == 0 or t == 0.0:
         return state.copy()
     spec = spectrum_G(graph)
     out = state.copy()
-    out += (np.exp(-1j * spec.lambda_plus * t) - 1.0) * spec.psi_plus \
-        * (spec.psi_plus @ state)
-    out += (np.exp(-1j * spec.lambda_minus * t) - 1.0) * spec.psi_minus \
-        * (spec.psi_minus @ state)
+    for lam, vec in ((spec.lambda_plus, spec.psi_plus),
+                     (spec.lambda_minus, spec.psi_minus)):
+        out += np.multiply.outer((np.exp(-1j * lam * t) - 1.0) * vec,
+                                 vec @ state)
     return out
 
 

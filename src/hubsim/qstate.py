@@ -525,13 +525,6 @@ def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
     return np.moveaxis(work, range(len(front)), front)
 
 
-def apply_embedded(op: LinearOperator, state: StateVector,
-                   binding: dict[str, str] | None = None,
-                   **kwargs) -> StateVector:
-    """Apply ``op`` on the registers named by ``binding``; identity elsewhere."""
-    return op.apply(state, binding=binding, **kwargs)
-
-
 def extract_block(op: LinearOperator, n_sys: int,
                   max_sys: int = DEFAULT_EXTRACT_SYSTEM_CAP,
                   projector_value: int = 0) -> np.ndarray:

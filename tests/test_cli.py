@@ -134,6 +134,11 @@ def test_simulate_bad_psi0_exits_2(graph_file, tmp_path):
     bad.write_text(json.dumps({"n": 8}))
     assert run_cli("simulate", graph_file, "--t", "1",
                    "--psi0", f"file:{bad}", "-o", str(tmp_path / "r.json")) == 2
+    for time_eps in (("--t", "1", "--eps", "0"), ("--t", "1", "--eps", "nan"),
+                     ("--t", "inf"), ("--t", "nan")):
+        assert run_cli("simulate", graph_file, *time_eps,
+                       "--method", "classical-ff",
+                       "-o", str(tmp_path / "r.json")) == 2
 
 
 def test_unknown_flag_exits_2(graph_file):

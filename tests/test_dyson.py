@@ -1,9 +1,12 @@
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_graph_params
 
+import hubsim
 from hubsim import dyson, netgraph, refcheck
 from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, default_config
@@ -365,6 +368,48 @@ def test_simulate_input_validation(dg8):
         dyson.simulate_full(dg8, 1.0, 1e-3, np.zeros(4))
     with pytest.raises(ParameterError):
         dyson.simulate_full(dg8, 1.0, 1e-3, good, method="bogus")
+    for eps in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            dyson.simulate_full(dg8, 1.0, eps, good)
+    for t in (float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            dyson.simulate_full(dg8, t, 1e-3, good)
+
+
+def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
+    # one full segment and a fractional one; every build_expG call of the
+    # solve must ask for a distinct (t, eps)
+    calls = []
+    build = dyson.build_expG
+
+    def counting(graph, t, eps, *args, **kwargs):
+        calls.append((t, eps))
+        return build(graph, t, eps, *args, **kwargs)
+
+    monkeypatch.setattr(dyson, "build_expG", counting)
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    dyson.simulate_full(dg8, 0.1, 1e-2, psi0, method="circuit")
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):
+    # perfbench/layertrace.py rebinds these names in the modules that look
+    # them up; renaming one must fail here, not in a traced benchmark run
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    layertrace = importlib.import_module("layertrace")
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    tracer = layertrace.Tracer()
+    with tracer.installed(hubsim):
+        tracer.solve = 0
+        hubsim.simulate_full(dg8, 0.1, 1e-2, psi0, method="circuit")
+    traced = {span.func for span in tracer.spans}
+    assert {"dyson.simulate_full", "dyson.dyson_segment",
+            "dyson.build_selectG", "ffhub.build_expG",
+            "sparse_enc.encode_H2"} <= traced
 
 
 def test_simulate_report_contents(dg8):

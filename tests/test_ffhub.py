@@ -137,6 +137,10 @@ def test_classical_expg_matches_dense(dg8, dg8_dense):
     out = ffhub.classical_expG_apply(dg8, 2.3, psi)
     ref = refcheck.dense_expm(dg8_dense["G"], 2.3) @ psi
     assert np.linalg.norm(out - ref) < 1e-12
+    # a matrix of columns: applied to the identity it is the dense block
+    block = ffhub.classical_expG_apply(dg8, 2.3, np.eye(8))
+    dense = refcheck.dense_expm(dg8_dense["G"], 2.3)
+    assert np.max(np.abs(block - dense)) < 1e-12
 
 
 def test_classical_expg_t0_and_perp(dg8, dg8_dense):

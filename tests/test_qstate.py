@@ -4,9 +4,9 @@ import pytest
 from hubsim import qstate
 from hubsim.errors import ParameterError, RegisterError, ResourceError
 from hubsim.qstate import (Circuit, DenseGate, GlobalPhase, PermutationGate,
-                           RegisterLayout, StateVector, apply_embedded,
-                           extract_block, hadamard_layer, random_unitary,
-                           register_swap, spectral_norm, x_gate)
+                           RegisterLayout, StateVector, extract_block,
+                           hadamard_layer, random_unitary, register_swap,
+                           spectral_norm, x_gate)
 
 
 def test_hadamard_layer_uniform():
@@ -40,7 +40,7 @@ def test_apply_embedded_binding():
     op = Circuit(op_layout).append(DenseGate(random_unitary(4, seed=4)), on=["x"])
     state_layout = RegisterLayout(("p", 3), ("q", 2))
     state = StateVector.random(state_layout, seed=5)
-    out = apply_embedded(op, state, binding={"x": "q"})
+    out = op.apply(state, binding={"x": "q"})
     # q is the trailing register: action on the last two qubits
     tens = state.amps.reshape(8, 4)
     expected = (op.steps[0].op.matrix @ tens.T).T.reshape(-1)
@@ -52,9 +52,9 @@ def test_binding_errors():
     op = Circuit(op_layout)
     state = StateVector.basis(RegisterLayout(("p", 3)))
     with pytest.raises(RegisterError):
-        apply_embedded(op, state, binding={"x": "p"})  # width mismatch
+        op.apply(state, binding={"x": "p"})  # width mismatch
     with pytest.raises(RegisterError):
-        apply_embedded(op, state, binding={"x": "nope"})
+        op.apply(state, binding={"x": "nope"})
 
 
 def test_extract_block_bare_unitary():
