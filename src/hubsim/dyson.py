@@ -43,8 +43,8 @@ from .blockenc import (BlockEncoding, amplification_degree, fixed_point_aa,
                        unitary_with_first_column)
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError, ResourceError)
-from .ffhub import (build_expG, classical_expG_apply, hub_block_factor,
-                    link_norm)
+from .ffhub import (build_expG, classical_expG_apply, expG_bundle,
+                    hub_block_factor, link_norm)
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
 from .qstate import (DEFAULT_EXTRACT_SYSTEM_CAP, Circuit, DenseGate,
@@ -123,8 +123,13 @@ def default_config(graph: HubSparseGraph, t: float, eps: float,
 
 
 class _LeafBlocks:
-    """Leaf-block source for one graph: either circuit extraction or the
-    verified dense forms."""
+    """Leaf-block source of one solve: either circuit extraction or the
+    verified dense forms.
+
+    ``simulate_full`` makes one and passes it down to every segment, so the
+    residual encoding, the t-independent exp(-iGt) bundle and each distinct
+    exp(-iGt) encoding are built once per solve and dropped with it.
+    """
 
     def __init__(self, graph: HubSparseGraph, backend: str,
                  oracle_set: OracleSet | None = None):
@@ -134,15 +139,20 @@ class _LeafBlocks:
         self.backend = backend
         self.oracles = oracle_set
         self._h2 = None
+        self._exp_g_bundle = None
         self._exp_g: dict[tuple[float, float], BlockEncoding] = {}
         if backend == "circuit" and self.oracles is None:
             self.oracles = build_oracle_set(graph)
 
     def exp_g_encoding(self, t: float, eps: float) -> BlockEncoding:
-        """Encoding of exp(-iGt) to eps, built once per (t, eps)."""
+        """Encoding of exp(-iGt) to eps, built once per (t, eps) on the
+        shared t-independent bundle."""
         key = (t, eps)
         if key not in self._exp_g:
-            self._exp_g[key] = build_expG(self.graph, t, eps, self.oracles)
+            if self._exp_g_bundle is None and self.graph.m_hubs:
+                self._exp_g_bundle = expG_bundle(self.graph, self.oracles)
+            self._exp_g[key] = build_expG(self.graph, t, eps, self.oracles,
+                                          bundle=self._exp_g_bundle)
         return self._exp_g[key]
 
     def exp_g_block(self, t: float, eps: float) -> np.ndarray:
@@ -229,7 +239,8 @@ class SelectGEncoding(BlockEncoding):
 
 def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
                   oracle_set: OracleSet | None = None,
-                  backend: str = "circuit") -> SelectGEncoding:
+                  backend: str = "circuit", *,
+                  leaves: _LeafBlocks | None = None) -> SelectGEncoding:
     """Cascade of controlled link evolutions over a log2(D)-qubit grid
     register.
 
@@ -238,14 +249,16 @@ def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
     the cascaded error telescopes within eps; the cascade shares a single
     8-qubit ancilla bank, which is sound because each factor is a
     unit-factor encoding of a unitary.  The cascade circuit is built on
-    first use, from the same bit encodings as the blocks.
+    first use, from the same bit encodings as the blocks.  The encodings
+    come from ``leaves`` (the solve's leaf source) when given, else from a
+    new one.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
     eps_unit = eps / (2.0 * log_d * (log_d + 1))
-    leaves = _LeafBlocks(graph, backend, oracle_set)
+    leaves = leaves or _LeafBlocks(graph, backend, oracle_set)
     bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps_unit)
                   for j in range(log_d)]
 
@@ -282,19 +295,22 @@ class DressedResidualEncoding(SelectGEncoding):
 
 def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
                      eps: float, oracle_set: OracleSet | None = None,
-                     backend: str = "circuit") -> DressedResidualEncoding:
+                     backend: str = "circuit", *,
+                     leaves: _LeafBlocks | None = None
+                     ) -> DressedResidualEncoding:
     """Conjugate the residual encoding by the controlled-evolution cascade.
 
     The two cascades and the residual encoding keep three disjoint ancilla
     banks (8 + m + 8 qubits), so the combined block is exactly the product
     of the three sub-blocks, grid value by grid value.  The cascade gets
-    eps / 2.5 of the budget.  The circuit is built on first use.
+    eps / 2.5 of the budget.  The circuit is built on first use.  Leaf
+    blocks come from ``leaves`` when given, as in ``build_selectG``.
     """
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
-    leaves = _LeafBlocks(graph, backend, oracle_set)
+    leaves = leaves or _LeafBlocks(graph, backend, oracle_set)
     select = build_selectG(graph, tau, big_d, eps / 2.5, leaves.oracles,
-                           backend=backend)
+                           backend=backend, leaves=leaves)
     h2_block, alpha2, m_h2 = leaves.h2_block()
 
     def build_circuit():
@@ -467,13 +483,15 @@ class _SegmentEncoding(BlockEncoding):
 def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
                   oracle_set: OracleSet | None = None,
                   backend: str = "circuit",
-                  check_budget: bool = True) -> BlockEncoding:
+                  check_budget: bool = True, *,
+                  leaves: _LeafBlocks | None = None) -> BlockEncoding:
     """Block encoding of the rotated-frame segment propagator over [0, tau].
 
     The combination factor is sum_k (alpha2 tau)^k; with tau = 1/(2 alpha2)
     it stays below 2, which keeps the final amplification cheap.  Raises a
     configuration error when the truncation or grid bounds cannot reach the
-    per-segment budget.
+    per-segment budget.  Leaf blocks come from ``leaves`` when given, as in
+    ``build_selectG``.
     """
     report = validate(graph)
     if not report.passed:
@@ -500,7 +518,7 @@ def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
     log_d = int(math.log2(big_d))
     # the select cascade inside gets eps_seg / 4
     dressed = build_dressed_H2(graph, tau, big_d, 2.5 * eps_seg / 4.0,
-                               oracle_set, backend=backend)
+                               oracle_set, backend=backend, leaves=leaves)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
     totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
                                     big_k)
@@ -656,7 +674,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         if count == 0:
             return
         seg_be = dyson_segment(graph, piece_cfg, leaves.oracles,
-                               backend=backend)
+                               backend=backend, leaves=leaves)
         amplified = fixed_point_aa(seg_be, 0.9 / seg_be.alpha, eps_aa)
         if backend == "circuit":
             g_block = leaves.exp_g_block(length, eps_g)

@@ -11,7 +11,10 @@ The circuit route prepares the two eigenvectors through state-preparation
 encodings, marks each eigencomponent on a flag qubit, applies the rotation
 phase, and combines the marked projectors with the identity through a
 signed linear combination, then amplifies the result to a unit-factor
-encoding.
+encoding.  Only the phased projector circuit depends on t: the eigenvector
+preparations, the unphased projector circuit (with its extracted block)
+and the identity branch form an ``ExpGBundle`` that one graph's encodings
+for every t can share.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, fixed_point_aa, lcu
+from .blockenc import BlockEncoding, fixed_point_aa, identity_encoding, lcu
 from .errors import ParameterError
 from .netgraph import HubSparseGraph
 from .oracles import OracleSet, build_oracle_set
@@ -140,38 +143,59 @@ def _marked_projector_circuit(graph: HubSparseGraph, u_plus: BlockEncoding,
     return circ
 
 
+@dataclass(frozen=True)
+class ExpGBundle:
+    """The t-independent parts of an exp(-iGt) encoding: the eigenvector
+    preparations, the unphased marked-projector encoding (its block is
+    extracted once, on first use) and the 5-ancilla identity branch."""
+
+    u_plus: BlockEncoding
+    u_minus: BlockEncoding
+    plain: BlockEncoding
+    identity: BlockEncoding
+
+
+def expG_bundle(graph: HubSparseGraph,
+                oracle_set: OracleSet | None = None) -> ExpGBundle:
+    """Build the t-independent parts of exp(-iGt) for a graph with hubs."""
+    oracles = oracle_set or build_oracle_set(graph)
+    u_plus = build_P_pm(graph, +1, oracles)
+    u_minus = build_P_pm(graph, -1, oracles)
+    plain = _marked_projector_circuit(graph, u_plus, u_minus, 0.0,
+                                      with_phase=False)
+    return ExpGBundle(
+        u_plus, u_minus,
+        BlockEncoding(plain, hub_block_factor(graph), 5, graph.n_qubits,
+                      label="plain_projectors"),
+        identity_encoding(graph.n_qubits, 5, label="identity5"))
+
+
 def build_expG(graph: HubSparseGraph, t: float, eps: float,
-               oracle_set: OracleSet | None = None) -> BlockEncoding:
+               oracle_set: OracleSet | None = None, *,
+               bundle: ExpGBundle | None = None) -> BlockEncoding:
     """Unit-factor encoding of exp(-iGt), accurate to ``eps``.
 
     Pre-amplification, the signed combination of the phased projector
     circuit, the unphased one, and the identity is a (2 beta + 1, 7)
     encoding; fixed-point amplification brings it to (1, 8, eps).  The
     gate count is independent of t (t only sets one rotation angle).
+
+    Only the phased projector circuit, the combination and the
+    amplification are built per call.  The rest comes from ``bundle``, the
+    graph's ``expG_bundle``, shared across t (its oracle set is the one the
+    circuits use); without it the call builds its own, with the same
+    result.
     """
     n = graph.n_qubits
     if graph.m_hubs == 0:
-        circ = Circuit(RegisterLayout(("anc", 8), ("sys", n)), label="exp_g_empty")
-        return BlockEncoding(
-            circ, 1.0, 8, n,
-            block_fn=lambda: np.eye(2 ** n, dtype=np.complex128),
-            label="exp_g_empty")
-    oracles = oracle_set or build_oracle_set(graph)
-    u_plus = build_P_pm(graph, +1, oracles)
-    u_minus = build_P_pm(graph, -1, oracles)
-    beta = hub_block_factor(graph)
+        return identity_encoding(n, 8, label="exp_g_empty")
+    bundle = bundle or expG_bundle(graph, oracle_set)
+    phased = _marked_projector_circuit(graph, bundle.u_plus, bundle.u_minus,
+                                       t, with_phase=True)
+    be_phased = BlockEncoding(phased, bundle.plain.alpha, 5, n,
+                              label="phased_projectors")
 
-    phased = _marked_projector_circuit(graph, u_plus, u_minus, t, with_phase=True)
-    plain = _marked_projector_circuit(graph, u_plus, u_minus, t, with_phase=False)
-    be_phased = BlockEncoding(phased, beta, 5, n, label="phased_projectors")
-    be_plain = BlockEncoding(plain, beta, 5, n, label="plain_projectors")
-
-    ident_circ = Circuit(RegisterLayout(("anc", 5), ("sys", n)), label="identity5")
-    be_ident = BlockEncoding(
-        ident_circ, 1.0, 5, n,
-        block_fn=lambda: np.eye(2 ** n, dtype=np.complex128), label="identity5")
-
-    pre = lcu([1.0, -1.0, 1.0], [be_phased, be_plain, be_ident])
+    pre = lcu([1.0, -1.0, 1.0], [be_phased, bundle.plain, bundle.identity])
     pre.label = "exp_g_pre"
     amplified = fixed_point_aa(pre, delta=0.9 / pre.alpha, eps=eps)
     amplified.label = f"exp_g(t={t:g})"

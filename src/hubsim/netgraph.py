@@ -163,8 +163,12 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
     """Check the hub-sparse conditions and structural invariants.
 
     Violations are reported, never raised; the report names every offending
-    node per condition.
+    node per condition.  The graph is immutable, so the report is computed
+    once and kept on the graph.
     """
+    cached = graph.__dict__.get("_validation")
+    if cached is not None:
+        return cached
     n, m, h, s = graph.n_nodes, graph.m_hubs, graph.h_param, graph.s_param
     conditions = []
 
@@ -215,8 +219,10 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
         f"all regular degrees <= {s}",
     ))
 
-    passed = all(ok for _, ok, _ in conditions)
-    return ValidationReport(passed, tuple(conditions))
+    report = ValidationReport(all(ok for _, ok, _ in conditions),
+                              tuple(conditions))
+    object.__setattr__(graph, "_validation", report)
+    return report
 
 
 def split(graph: HubSparseGraph) -> GraphSplit:

@@ -394,6 +394,29 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
+    # t=1.3 runs a full piece and a fractional one; both draw on the one
+    # leaf source of the solve, so the residual and the eigenvector
+    # preparations are built once
+    from hubsim import ffhub
+    counts = {"encode_H2": 0, "build_P_pm": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dyson, "encode_H2")
+    counting(ffhub, "build_P_pm")
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
+    assert counts == {"encode_H2": 1, "build_P_pm": 2}
+
+
 def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):
     # perfbench/layertrace.py rebinds these names in the modules that look
     # them up; renaming one must fail here, not in a traced benchmark run

@@ -3,6 +3,7 @@ import pytest
 
 from hubsim import ffhub, netgraph, refcheck
 from hubsim.errors import ParameterError
+from hubsim.oracles import build_oracle_set
 from hubsim.qstate import extract_block, spectral_norm
 
 
@@ -168,3 +169,25 @@ def test_expg_query_profile_formula(dg8):
     profile = be.query_profile()
     big_l = be.aa_degree
     assert profile == {"O_K": 8 * big_l, "O_H": 8 * big_l}
+
+
+@pytest.mark.parametrize("graph_name", ["dg8", "n16"])
+def test_expg_shared_bundle_matches_standalone(graph_name, dg8):
+    graph = dg8 if graph_name == "dg8" else netgraph.generate(
+        16, 2, 4, 2, rng_seed=3)
+    oracles = build_oracle_set(graph)
+    bundle = ffhub.expG_bundle(graph, oracles)
+    for t in (0.0, 0.3, 1.7, 5.0):
+        shared = ffhub.build_expG(graph, t, 1e-6, oracles, bundle=bundle)
+        alone = ffhub.build_expG(graph, t, 1e-6)
+        assert np.max(np.abs(shared.block() - alone.block())) <= 1e-12
+        assert shared.gate_count() == alone.gate_count()
+        assert shared.query_profile() == alone.query_profile()
+
+
+def test_expg_shared_bundle_circuit_matches_block(dg8):
+    bundle = ffhub.expG_bundle(dg8)
+    ffhub.build_expG(dg8, 0.3, 1e-4, bundle=bundle).block()
+    be = ffhub.build_expG(dg8, 0.9, 1e-4, bundle=bundle)
+    circ_block = extract_block(be.unitary, 3)
+    assert np.max(np.abs(circ_block - be.block())) <= 1e-10

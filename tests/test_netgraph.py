@@ -185,3 +185,10 @@ def test_missing_hub_cap_respected():
         for v in g.regulars:
             missed = sum(1 for u in hubset if not g.has_edge(u, v))
             assert missed <= h
+
+
+def test_validate_report_is_kept_on_the_graph():
+    g = netgraph.generate(16, 2, 4, 2, rng_seed=2)
+    report = netgraph.validate(g)
+    assert netgraph.validate(g) is report
+    assert report.passed
