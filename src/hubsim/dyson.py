@@ -21,15 +21,20 @@ lower half conjugated by one bit evolution.  That turns the D-point sums
 into log2(D) merge steps of (K+1)(K+2)/2 matmuls each; the bit evolutions
 are checked to commute before the merge.
 
-Two evaluation tiers share this assembly.  The circuit tier draws every
-leaf block from honest circuit extraction (controlled-evolution cascades,
-the sparse-piece encodings); the dense tier substitutes the verified dense
-blocks, which keeps the combinatorial assembly testable up to larger N.
-Combined blocks follow the exact composition rules for disjoint ancilla
-banks, so no full-width state is ever materialized.  The composite circuits
-(the select cascade, the dressed residual, the segment) carry complete
-register bookkeeping but are built on first use, never eagerly, and raise
-a resource error if someone tries to run one past the qubit cap.
+Every Dyson object is built from two leaf encodings, exp(-iGt) and the
+residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
+place that knows the graph, the oracle set and the evaluation tier; every
+builder here takes it and nothing it already carries.  The "circuit" tier
+extracts each leaf block from its circuit (controlled-evolution cascades,
+the sparse-piece encodings); the "classical-ff" tier substitutes the
+verified dense blocks, which keeps the combinatorial assembly testable up
+to larger N.  The rotation stage applies the same exp(-iG tau) block in
+both tiers.  Combined blocks follow the exact composition rules for
+disjoint ancilla banks, so no full-width state is ever materialized.  The
+composite circuits (the select cascade, the dressed residual, the segment)
+carry complete register bookkeeping but are built on first use, never
+eagerly, and raise a resource error if someone tries to run one past the
+qubit cap.
 """
 
 from __future__ import annotations
@@ -87,15 +92,17 @@ class DysonConfig:
     t_total: float | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigurationError("tau must be finite and positive")
         if self.big_d < 2 or (self.big_d & (self.big_d - 1)):
             raise ConfigurationError(
                 f"D={self.big_d} must be a power of two >= 2")
         if self.big_k < 0:
             raise ConfigurationError("K must be >= 0")
-        if self.eps_total <= 0:
-            raise ConfigurationError("eps_total must be positive")
+        if not (math.isfinite(self.eps_total) and self.eps_total > 0):
+            raise ConfigurationError("eps_total must be finite and positive")
+        if self.t_total is not None and not math.isfinite(self.t_total):
+            raise ConfigurationError("t_total must be finite when given")
 
     @property
     def eps_segment(self) -> float:
@@ -122,27 +129,37 @@ def default_config(graph: HubSparseGraph, t: float, eps: float,
 # -- leaf blocks --------------------------------------------------------------
 
 
-class _LeafBlocks:
-    """Leaf-block source of one solve: either circuit extraction or the
-    verified dense forms.
+class LeafBlocks:
+    """Leaf-block source of one solve, and the one holder of its graph,
+    oracle set and tier.
 
-    ``simulate_full`` makes one and passes it down to every segment, so the
-    residual encoding, the t-independent exp(-iGt) bundle and each distinct
-    exp(-iGt) encoding are built once per solve and dropped with it.
+    ``method`` names the tier as in ``simulate_full``: "circuit" extracts
+    every leaf block from its circuit, "classical-ff" substitutes the
+    verified dense forms.  The graph is validated here, once.  One source
+    per solve builds the residual encoding, the t-independent exp(-iGt)
+    bundle and each distinct exp(-iGt) encoding once, and drops them with
+    the solve.  The oracle set is built on first use when none is given.
     """
 
-    def __init__(self, graph: HubSparseGraph, backend: str,
+    def __init__(self, graph: HubSparseGraph, method: str = "circuit",
                  oracle_set: OracleSet | None = None):
-        if backend not in ("circuit", "dense"):
-            raise ParameterError(f"unknown block backend {backend!r}")
+        if method not in ("circuit", "classical-ff"):
+            raise ParameterError(f"unknown method {method!r}")
+        report = validate(graph)
+        if not report.passed:
+            raise GraphStructureError("; ".join(report.failures()))
         self.graph = graph
-        self.backend = backend
-        self.oracles = oracle_set
+        self.method = method
+        self._oracles = oracle_set
         self._h2 = None
         self._exp_g_bundle = None
         self._exp_g: dict[tuple[float, float], BlockEncoding] = {}
-        if backend == "circuit" and self.oracles is None:
-            self.oracles = build_oracle_set(graph)
+
+    @property
+    def oracles(self) -> OracleSet:
+        if self._oracles is None:
+            self._oracles = build_oracle_set(self.graph)
+        return self._oracles
 
     def exp_g_encoding(self, t: float, eps: float) -> BlockEncoding:
         """Encoding of exp(-iGt) to eps, built once per (t, eps) on the
@@ -156,7 +173,9 @@ class _LeafBlocks:
         return self._exp_g[key]
 
     def exp_g_block(self, t: float, eps: float) -> np.ndarray:
-        if self.backend == "circuit":
+        """The N x N block of exp(-iGt): extracted from its encoding to eps,
+        or exact from the rank-two fast path."""
+        if self.method == "circuit":
             return self.exp_g_encoding(t, eps).block()
         eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
         return classical_expG_apply(self.graph, t, eye)
@@ -168,11 +187,11 @@ class _LeafBlocks:
 
     def h2_block(self) -> tuple[np.ndarray, float, int]:
         """(normalized residual block, alpha2, ancilla count)."""
-        _, alpha2 = evolution_scales(self.graph)
-        n = self.graph.n_qubits
-        if self.backend == "circuit":
+        if self.method == "circuit":
             be = self.h2_encoding()
             return be.block(), be.alpha, be.m
+        _, alpha2 = evolution_scales(self.graph)
+        n = self.graph.n_qubits
         dense = (self.graph.dense_adjacency()
                  - self.graph.dense_link_matrix()).astype(np.complex128)
         m_book = n + 6 if self.graph.m_hubs else n + 4
@@ -237,10 +256,8 @@ class SelectGEncoding(BlockEncoding):
         return total
 
 
-def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
-                  oracle_set: OracleSet | None = None,
-                  backend: str = "circuit", *,
-                  leaves: _LeafBlocks | None = None) -> SelectGEncoding:
+def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
+                  eps: float) -> SelectGEncoding:
     """Cascade of controlled link evolutions over a log2(D)-qubit grid
     register.
 
@@ -249,16 +266,14 @@ def build_selectG(graph: HubSparseGraph, tau: float, big_d: int, eps: float,
     the cascaded error telescopes within eps; the cascade shares a single
     8-qubit ancilla bank, which is sound because each factor is a
     unit-factor encoding of a unitary.  The cascade circuit is built on
-    first use, from the same bit encodings as the blocks.  The encodings
-    come from ``leaves`` (the solve's leaf source) when given, else from a
-    new one.
+    first use, from the same bit encodings of ``leaves``, the solve's leaf
+    source, as the blocks.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
-    n = graph.n_qubits
+    n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
     eps_unit = eps / (2.0 * log_d * (log_d + 1))
-    leaves = leaves or _LeafBlocks(graph, backend, oracle_set)
     bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps_unit)
                   for j in range(log_d)]
 
@@ -293,24 +308,18 @@ class DressedResidualEncoding(SelectGEncoding):
         return e_d.conj().T @ self.h2_norm_block @ e_d
 
 
-def build_dressed_H2(graph: HubSparseGraph, tau: float, big_d: int,
-                     eps: float, oracle_set: OracleSet | None = None,
-                     backend: str = "circuit", *,
-                     leaves: _LeafBlocks | None = None
-                     ) -> DressedResidualEncoding:
+def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
+                     eps: float) -> DressedResidualEncoding:
     """Conjugate the residual encoding by the controlled-evolution cascade.
 
     The two cascades and the residual encoding keep three disjoint ancilla
     banks (8 + m + 8 qubits), so the combined block is exactly the product
     of the three sub-blocks, grid value by grid value.  The cascade gets
-    eps / 2.5 of the budget.  The circuit is built on first use.  Leaf
-    blocks come from ``leaves`` when given, as in ``build_selectG``.
+    eps / 2.5 of the budget.  The circuit is built on first use.
     """
-    n = graph.n_qubits
+    n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
-    leaves = leaves or _LeafBlocks(graph, backend, oracle_set)
-    select = build_selectG(graph, tau, big_d, eps / 2.5, leaves.oracles,
-                           backend=backend, leaves=leaves)
+    select = build_selectG(leaves, tau, big_d, eps / 2.5)
     h2_block, alpha2, m_h2 = leaves.h2_block()
 
     def build_circuit():
@@ -480,22 +489,16 @@ class _SegmentEncoding(BlockEncoding):
         return segment_block_at_order(self, self.config.big_k) / self.alpha
 
 
-def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
-                  oracle_set: OracleSet | None = None,
-                  backend: str = "circuit",
-                  check_budget: bool = True, *,
-                  leaves: _LeafBlocks | None = None) -> BlockEncoding:
+def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
+                  check_budget: bool = True) -> BlockEncoding:
     """Block encoding of the rotated-frame segment propagator over [0, tau].
 
     The combination factor is sum_k (alpha2 tau)^k; with tau = 1/(2 alpha2)
     it stays below 2, which keeps the final amplification cheap.  Raises a
     configuration error when the truncation or grid bounds cannot reach the
-    per-segment budget.  Leaf blocks come from ``leaves`` when given, as in
-    ``build_selectG``.
+    per-segment budget.
     """
-    report = validate(graph)
-    if not report.passed:
-        raise GraphStructureError("; ".join(report.failures()))
+    graph = leaves.graph
     alpha1, alpha2 = evolution_scales(graph)
     tau, big_d, big_k = config.tau, config.big_d, config.big_k
     eps_seg = config.eps_segment
@@ -517,8 +520,7 @@ def dyson_segment(graph: HubSparseGraph, config: DysonConfig,
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
     # the select cascade inside gets eps_seg / 4
-    dressed = build_dressed_H2(graph, tau, big_d, 2.5 * eps_seg / 4.0,
-                               oracle_set, backend=backend, leaves=leaves)
+    dressed = build_dressed_H2(leaves, tau, big_d, 2.5 * eps_seg / 4.0)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
     totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
                                     big_k)
@@ -619,19 +621,15 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     Slices [0, t] into segments of length tau, applies the amplified
     segment propagator followed by the link-matrix rotation per segment,
     and a reduced-length final segment for the remainder.  ``method``
-    selects the leaf-block tier: "circuit" extracts every leaf from its
-    circuit, "classical-ff" substitutes the verified dense forms (the
-    rotation then runs through the rank-two fast path).
+    selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
+    every leaf from its circuit, "classical-ff" substitutes the verified
+    dense forms.  The rotation applies that source's exp(-iG tau) block.
     """
-    if method not in ("circuit", "classical-ff"):
-        raise ParameterError(f"unknown method {method!r}")
     if not (math.isfinite(eps) and eps > 0):
         raise ParameterError(f"eps must be finite and positive, got {eps}")
     if not (math.isfinite(t) and t >= 0):
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
-    report_v = validate(graph)
-    if not report_v.passed:
-        raise GraphStructureError("; ".join(report_v.failures()))
+    leaves = LeafBlocks(graph, method, oracle_set)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     dim = 2 ** graph.n_qubits
     if psi.shape != (dim,):
@@ -639,7 +637,6 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ParameterError("psi0 must be normalized")
     alpha1, alpha2 = evolution_scales(graph)
-    backend = "circuit" if method == "circuit" else "dense"
 
     if t == 0.0:
         report = RunReport(t, eps, method, 0, 0, 0, 0.0, alpha1, alpha2, 0,
@@ -653,7 +650,6 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     if t_frac < 1e-12 * max(1.0, t):
         t_frac = 0.0
 
-    leaves = _LeafBlocks(graph, backend, oracle_set)
     eps_seg = cfg.eps_segment
     eps_aa = eps_seg / 10.0
     eps_g = eps_seg / 10.0
@@ -673,11 +669,9 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         nonlocal psi, expg_stage, expg_grid, queries, segments
         if count == 0:
             return
-        seg_be = dyson_segment(graph, piece_cfg, leaves.oracles,
-                               backend=backend, leaves=leaves)
+        seg_be = dyson_segment(leaves, piece_cfg)
         amplified = fixed_point_aa(seg_be, 0.9 / seg_be.alpha, eps_aa)
-        if backend == "circuit":
-            g_block = leaves.exp_g_block(length, eps_g)
+        g_block = leaves.exp_g_block(length, eps_g)
         log_d = int(math.log2(piece_cfg.big_d))
         l_seg = amplified.aa_degree
         # the length-tau rotation stage runs once per segment; the grid
@@ -685,11 +679,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         # reflection of the segment oracle
         per_seg_grid = l_seg * 2 * piece_cfg.big_k * log_d
         for _ in range(count):
-            psi = amplified.apply_block(psi)
-            if backend == "circuit":
-                psi = g_block @ psi
-            else:
-                psi = classical_expG_apply(graph, length, psi)
+            psi = g_block @ amplified.apply_block(psi)
             segments += 1
             expg_stage += 1
             expg_grid += per_seg_grid

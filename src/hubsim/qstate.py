@@ -150,12 +150,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amps.copy(), normalized=self.normalized)
 
-    def tensor(self) -> np.ndarray:
-        return self.amps.reshape((2,) * self.layout.width)
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
 
 # -- primitives --------------------------------------------------------------
 

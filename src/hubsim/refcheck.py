@@ -123,14 +123,17 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 def _integrate(f, y0: np.ndarray, t_end: float, tol: float) -> np.ndarray:
     """Adaptive Dormand-Prince 5(4) from 0 to t_end with absolute local
-    tolerance ``tol`` per unit step."""
+    tolerance ``tol`` per unit step.  A negative t_end integrates the
+    time-reversed equation y'(s) = -f(-s, y) from 0 to -t_end."""
     if t_end == 0.0:
         return y0.copy()
+    if t_end < 0.0:
+        return _integrate(lambda s, y: -f(-s, y), y0, -t_end, tol)
     y = y0.astype(np.complex128, copy=True)
     t = 0.0
-    dt = min(abs(t_end), 0.1) * np.sign(t_end)
-    min_dt = abs(t_end) * 1e-14
-    while t < t_end - 1e-15 * abs(t_end):
+    dt = min(t_end, 0.1)
+    min_dt = t_end * 1e-14
+    while t < t_end - 1e-15 * t_end:
         dt = min(dt, t_end - t)
         ks = []
         for i in range(7):
@@ -143,17 +146,29 @@ def _integrate(f, y0: np.ndarray, t_end: float, tol: float) -> np.ndarray:
         y4 = y + dt * sum(b * k for b, k in zip(_DP_B4, ks) if b != 0.0)
         err = float(np.linalg.norm(y5 - y4))
         scale = tol * max(1.0, float(np.linalg.norm(y)))
-        if err <= scale or abs(dt) <= min_dt:
+        if err <= scale or dt <= min_dt:
             t += dt
             y = y5
         if err > 0.0:
             dt = dt * min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2))
         else:
             dt = dt * 5.0
-        if abs(dt) < min_dt:
-            if t < t_end - 1e-12 * abs(t_end):
+        if dt < min_dt:
+            if t < t_end - 1e-12 * t_end:
                 raise StepSizeUnderflow(f"step size underflow at t={t}")
     return y
+
+
+def _rotated_rhs(action: _GraphAction):
+    """Right-hand side of the rotated-frame equation,
+    y'(s) = -i e^{iGs} (A - G) e^{-iGs} y."""
+
+    def rhs(s, y):
+        inner = action.rotate(y, s)              # e^{-iGs} y
+        inner = action.residual_apply(inner)     # (A - G) ...
+        inner = action.rotate(inner, -s)         # e^{+iGs} ...
+        return -1j * inner
+    return rhs
 
 
 def rotated_reference(graph: HubSparseGraph, t: float, psi0: np.ndarray,
@@ -168,14 +183,7 @@ def rotated_reference(graph: HubSparseGraph, t: float, psi0: np.ndarray,
         raise ParameterError(f"dimension {graph.n_nodes} exceeds {MAX_DENSE_DIM}")
     action = _GraphAction(graph)
     psi0 = np.asarray(psi0, dtype=np.complex128)
-
-    def rhs(s, y):
-        inner = action.rotate(y, s)              # e^{-iGs} y
-        inner = action.residual_apply(inner)     # (A - G) ...
-        inner = action.rotate(inner, -s)         # e^{+iGs} ...
-        return -1j * inner
-
-    y = _integrate(rhs, psi0, t, tol)
+    y = _integrate(_rotated_rhs(action), psi0, t, tol)
     return action.rotate(y, t)
 
 
@@ -189,14 +197,7 @@ def rotated_propagator(graph: HubSparseGraph, t: float,
     n = graph.n_nodes
     if n > 512:
         raise ParameterError("rotated_propagator capped at dimension 512")
-    action = _GraphAction(graph)
-
-    def rhs(s, y):
-        inner = action.rotate(y, s)
-        inner = action.residual_apply(inner)
-        inner = action.rotate(inner, -s)
-        return -1j * inner
-
+    rhs = _rotated_rhs(_GraphAction(graph))
     cols = []
     for j in range(n):
         e = np.zeros(n, dtype=np.complex128)

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hubsim import netgraph
 from hubsim.oracles import build_oracle_set
+
+# reproducible property tests: a fixed example sequence, no example
+# database, no per-example deadline (solve times vary with machine load)
+# and few examples
+settings.register_profile("hubsim", derandomize=True, database=None,
+                          deadline=None, max_examples=10)
+settings.load_profile("hubsim")
 
 
 @pytest.fixture(scope="session")

@@ -154,7 +154,8 @@ def test_criterion_7_convergence_tier_b():
         reference = refcheck.rotated_propagator(g, tau, tol=1e-10)
 
         cfg = dyson.DysonConfig(tau, ratio_d, 4, 1e-3)
-        seg = dyson.dyson_segment(g, cfg, backend="dense", check_budget=False)
+        seg = dyson.dyson_segment(dyson.LeafBlocks(g, "classical-ff"), cfg,
+                                  check_budget=False)
         errs_k = {big_k: spectral_norm(
             dyson.segment_block_at_order(seg, big_k) - reference)
             for big_k in (1, 2, 3, 4)}
@@ -166,8 +167,8 @@ def test_criterion_7_convergence_tier_b():
         errs_d = []
         for big_d in (16, 32, 64, 128):
             cfg = dyson.DysonConfig(tau, big_d, 8, 1e-3)
-            seg = dyson.dyson_segment(g, cfg, backend="dense",
-                                      check_budget=False)
+            seg = dyson.dyson_segment(dyson.LeafBlocks(g, "classical-ff"),
+                                      cfg, check_budget=False)
             errs_d.append(spectral_norm(seg.alpha * seg.block() - reference))
         for prev, nxt in zip(errs_d, errs_d[1:]):
             assert nxt <= prev / 2.0 * 1.1, (g.n_nodes, errs_d)

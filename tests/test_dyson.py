@@ -5,13 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_graph_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hubsim
 from hubsim import dyson, netgraph, refcheck
 from hubsim.blockenc import fixed_point_aa
-from hubsim.dyson import DysonConfig, default_config
-from hubsim.errors import (ConfigurationError, EncodingError, ParameterError,
-                           ResourceError)
+from hubsim.dyson import DysonConfig, LeafBlocks, default_config
+from hubsim.errors import (ConfigurationError, EncodingError,
+                           GraphStructureError, ParameterError, ResourceError)
 from hubsim.qstate import RegisterLayout, StateVector, extract_block, spectral_norm
 
 
@@ -29,6 +31,13 @@ def test_config_validation():
         DysonConfig(0.1, 3, 1, 1e-3)  # not a power of two
     with pytest.raises(ConfigurationError):
         DysonConfig(0.1, 4, -1, 1e-3)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            DysonConfig(bad, 4, 1, 1e-3)
+        with pytest.raises(ConfigurationError):
+            DysonConfig(1.0 / 16.0, 4, 1, bad)
+        with pytest.raises(ConfigurationError):
+            DysonConfig(1.0 / 16.0, 4, 1, 1e-3, t_total=bad)
     cfg = DysonConfig(0.0625, 64, 4, 1e-3, t_total=1.0)
     assert cfg.eps_segment == pytest.approx(1e-3 * 0.0625)
 
@@ -41,19 +50,19 @@ def test_default_config_schedule(dg8):
 
 
 def test_selectg_d0_identity(dg8):
-    sel = dyson.build_selectG(dg8, tau=0.5, big_d=4, eps=1e-8)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
     assert spectral_norm(sel.d_block(0) - np.eye(8)) <= 1e-8
 
 
 def test_selectg_last_grid_point(dg8, dg8_dense):
-    sel = dyson.build_selectG(dg8, tau=0.5, big_d=4, eps=1e-8)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
     target = refcheck.dense_expm(dg8_dense["G"], (3.0 / 4.0) * 0.5)
     assert spectral_norm(sel.d_block(3) - target) <= 1e-8
 
 
 def test_selectg_all_grid_points_within_eps(dg8, dg8_dense):
     eps = 1e-10
-    sel = dyson.build_selectG(dg8, tau=0.7, big_d=8, eps=eps)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.7, big_d=8, eps=eps)
     for d in range(8):
         target = refcheck.dense_expm(dg8_dense["G"], (d / 8.0) * 0.7)
         assert spectral_norm(sel.d_block(d) - target) <= eps
@@ -61,13 +70,13 @@ def test_selectg_all_grid_points_within_eps(dg8, dg8_dense):
 
 def test_selectg_requires_power_of_two(dg8):
     with pytest.raises(ConfigurationError):
-        dyson.build_selectG(dg8, tau=0.5, big_d=6, eps=1e-6)
+        dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=6, eps=1e-6)
 
 
 def test_selectg_honest_circuit_block_diagonal(dg8):
     # 13-qubit extraction of the full cascade: the grid register never
     # mixes, and diagonal blocks match the algebraic path
-    sel = dyson.build_selectG(dg8, tau=0.5, big_d=4, eps=1e-2)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-2)
     circ_block = extract_block(sel.unitary, sel.n_sys)
     alg_block = sel.block()
     assert np.max(np.abs(circ_block - alg_block)) < 1e-6
@@ -82,27 +91,27 @@ def test_selectg_honest_circuit_block_diagonal(dg8):
 
 def test_full_grid_blocks_are_resource_guarded(dg8):
     # log2(4096) + 3 = 15 system qubits: a (D 2^n)^2 dense block of 16 GiB
-    sel = dyson.build_selectG(dg8, tau=1.0 / 16.0, big_d=4096, eps=1e-2,
-                              backend="dense")
+    sel = dyson.build_selectG(LeafBlocks(dg8, "classical-ff"), tau=1.0 / 16.0,
+                              big_d=4096, eps=1e-2)
     with pytest.raises(ResourceError) as err:
         sel.block()
     assert err.value.stage == "select_g"
-    dr = dyson.build_dressed_H2(dg8, tau=1.0 / 16.0, big_d=4096, eps=1e-2,
-                                backend="dense")
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"),
+                                tau=1.0 / 16.0, big_d=4096, eps=1e-2)
     with pytest.raises(ResourceError) as err:
         dr.block()
     assert err.value.stage == "dressed_h2"
 
 
 def test_dressed_d0_is_residual(dg8, dg8_dense):
-    dr = dyson.build_dressed_H2(dg8, tau=0.5, big_d=4, eps=1e-8)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
     target = (dg8_dense["A"] - dg8_dense["G"]) / dr.alpha
     assert spectral_norm(dr.d_block(0) - target) <= 1e-10
 
 
 def test_dressed_blocks_match_dense_conjugation(dg8, dg8_dense):
     eps = 1e-8
-    dr = dyson.build_dressed_H2(dg8, tau=0.5, big_d=4, eps=eps)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=eps)
     residual = dg8_dense["A"] - dg8_dense["G"]
     for d in range(4):
         s = (d / 4.0) * 0.5
@@ -112,7 +121,7 @@ def test_dressed_blocks_match_dense_conjugation(dg8, dg8_dense):
 
 
 def test_dressed_blocks_unitarily_similar(dg8):
-    dr = dyson.build_dressed_H2(dg8, tau=0.5, big_d=4, eps=1e-9)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-9)
     base = np.sort(np.linalg.eigvalsh(dr.d_block(0)))
     for d in range(1, 4):
         evals = np.sort(np.linalg.eigvalsh(dr.d_block(d)))
@@ -120,27 +129,29 @@ def test_dressed_blocks_unitarily_similar(dg8):
 
 
 def test_dressed_register_bookkeeping(dg8):
-    dr = dyson.build_dressed_H2(dg8, tau=0.5, big_d=4, eps=1e-6)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-6)
     assert dr.alpha == 8.0
     assert dr.m == 16 + (3 + 6)  # two cascade banks + residual ancillas
 
 
 def test_segment_order_zero_is_identity(dg8):
     cfg = DysonConfig(1.0 / 16.0, 4, 0, 1e-3)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     assert spectral_norm(seg.alpha * seg.block() - np.eye(8)) == 0.0
 
 
 _SMALL_HUB_PARAMS = [p for p in random_graph_params()
                      if p[0] <= 16 and p[1] > 0]
-_TOTALS_GRAPHS = [("dg8", "circuit"), ("dg8", "dense"),
+_TOTALS_GRAPHS = [("dg8", "circuit"),
+                  pytest.param("dg8", "classical-ff", id="dg8-dense"),
                   (_SMALL_HUB_PARAMS[0], "circuit"),
                   (_SMALL_HUB_PARAMS[-1], "circuit")]
 
 
 @pytest.mark.parametrize("big_d", [2, 8])
-@pytest.mark.parametrize("graph_key,backend", _TOTALS_GRAPHS)
-def test_series_totals_match_brute_force_ordered_sum(graph_key, backend,
+@pytest.mark.parametrize("graph_key,method", _TOTALS_GRAPHS)
+def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
                                                      big_d):
     # T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), enumerated
     # directly from the dressed residual blocks
@@ -152,8 +163,8 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, backend,
     tau = 1.0 / (2.0 * alpha2)
     eps = 1e-3
     # same per-unitary budget as the segment's own select cascade
-    dressed = dyson.build_dressed_H2(graph, tau, big_d, eps * 2.5 / 4.0,
-                                     backend=backend)
+    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d,
+                                     eps * 2.5 / 4.0)
     b_grid = [dressed.d_block(d) for d in range(big_d)]
     dim = 2 ** graph.n_qubits
     # doubling conjugates whole products by one bit evolution, which equals
@@ -163,8 +174,9 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, backend,
                  for e in dressed.bit_blocks)
     log_d = int(np.log2(big_d))
     for big_k in (1, 2, 3):
-        seg = dyson.dyson_segment(graph, DysonConfig(tau, big_d, big_k, eps),
-                                  backend=backend, check_budget=False)
+        seg = dyson.dyson_segment(LeafBlocks(graph, method),
+                                  DysonConfig(tau, big_d, big_k, eps),
+                                  check_budget=False)
         for k in range(1, big_k + 1):
             brute = np.zeros((dim, dim), dtype=np.complex128)
             for combo in itertools.combinations_with_replacement(
@@ -200,7 +212,8 @@ def test_segment_first_order_hub_free():
     a = g.dense_adjacency().astype(np.complex128)
     tau = 1.0 / 4.0
     cfg = DysonConfig(tau, 4, 1, 1e-3)
-    seg = dyson.dyson_segment(g, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(g, "classical-ff"), cfg,
+                              check_budget=False)
     expected = np.eye(8) - 1j * tau * a
     assert spectral_norm(seg.alpha * seg.block() - expected) < 1e-12
 
@@ -210,7 +223,7 @@ def test_segment_dg8_against_reference(dg8):
     # grid discretization floor sits at 1.4e-4 (first-order in 1/D)
     tau = 1.0 / 16.0
     cfg = DysonConfig(tau, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(dg8, cfg, backend="circuit", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8), cfg, check_budget=False)
     block = seg.alpha * seg.block()
     exact = exact_segment_propagator(dg8, tau)
     err = spectral_norm(block - exact)
@@ -223,7 +236,8 @@ def test_segment_truncation_ratio(dg8):
     tau = 1.0 / 16.0
     exact = exact_segment_propagator(dg8, tau)
     cfg = DysonConfig(tau, 16384, 4, 1e-3)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     errs = {big_k: spectral_norm(dyson.segment_block_at_order(seg, big_k)
                                  - exact)
             for big_k in (1, 2, 3, 4)}
@@ -238,7 +252,7 @@ def test_segment_grid_halving(dg8):
     errs = []
     for big_d in (16, 32, 64, 128):
         cfg = DysonConfig(tau, big_d, 8, 1e-3)
-        seg = dyson.dyson_segment(dg8, cfg, backend="dense",
+        seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                                   check_budget=False)
         errs.append(spectral_norm(seg.alpha * seg.block() - exact))
     for prev, nxt in zip(errs, errs[1:]):
@@ -247,7 +261,8 @@ def test_segment_grid_halving(dg8):
 
 def test_segment_alpha_and_ancillas(dg8):
     cfg = DysonConfig(1.0 / 16.0, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     assert seg.alpha == pytest.approx(sum(0.5 ** k for k in range(5)))
     log_d = 6
     expected_m = 3 + 4 * log_d + 2 * 3 + 16 + 9
@@ -256,28 +271,28 @@ def test_segment_alpha_and_ancillas(dg8):
 
 def test_segment_config_budget_errors(dg8):
     with pytest.raises(ConfigurationError, match="truncation"):
-        dyson.dyson_segment(dg8, DysonConfig(1.0 / 16.0, 4096, 1, 1e-6),
-                            backend="dense")
+        dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"),
+                            DysonConfig(1.0 / 16.0, 4096, 1, 1e-6))
     with pytest.raises(ConfigurationError, match="grid"):
-        dyson.dyson_segment(dg8, DysonConfig(1.0 / 16.0, 16, 12, 1e-6),
-                            backend="dense")
+        dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"),
+                            DysonConfig(1.0 / 16.0, 16, 12, 1e-6))
     with pytest.raises(ConfigurationError, match="tau"):
-        dyson.dyson_segment(dg8, DysonConfig(0.5, 64, 4, 1e-3),
-                            backend="dense", check_budget=False)
+        dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"),
+                            DysonConfig(0.5, 64, 4, 1e-3), check_budget=False)
 
 
 def test_segment_tiers_agree(dg8):
     cfg = DysonConfig(1.0 / 16.0, 32, 3, 1e-3)
-    seg_c = dyson.dyson_segment(dg8, cfg, backend="circuit",
-                                check_budget=False)
-    seg_d = dyson.dyson_segment(dg8, cfg, backend="dense",
+    seg_c = dyson.dyson_segment(LeafBlocks(dg8), cfg, check_budget=False)
+    seg_d = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                                 check_budget=False)
     assert spectral_norm(seg_c.block() - seg_d.block()) < 1e-6
 
 
 def test_segment_unitary_is_resource_guarded(dg8):
     cfg = DysonConfig(1.0 / 16.0, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     assert seg.unitary.width == seg.m + 3
     layout = RegisterLayout(("sys", 3))
     with pytest.raises(ResourceError) as err:
@@ -289,7 +304,8 @@ def test_segment_circuit_constructs_under_raised_cap(dg8, monkeypatch):
     # the assembled circuit is never runnable at default widths, but its
     # structural construction must be sound
     cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     circ = seg.unitary.materialize()
     assert circ.width == seg.m + 3
@@ -300,7 +316,8 @@ def test_segment_circuit_constructs_under_raised_cap(dg8, monkeypatch):
 def test_segment_width_matches_materialized_circuit(dg8, monkeypatch,
                                                     big_k):
     cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     assert seg.unitary.materialize().width == seg.m + 3
 
@@ -308,7 +325,8 @@ def test_segment_width_matches_materialized_circuit(dg8, monkeypatch,
 def test_segment_amplification(dg8):
     tau = 1.0 / 16.0
     cfg = DysonConfig(tau, 256, 6, 1e-4)
-    seg = dyson.dyson_segment(dg8, cfg, backend="dense", check_budget=False)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
     amp = fixed_point_aa(seg, 0.9 / seg.alpha, 1e-6)
     exact = exact_segment_propagator(dg8, tau)
     assert spectral_norm(amp.block() - exact) < 5e-5
@@ -415,6 +433,52 @@ def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
     psi0[0] = 1.0
     dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
     assert counts == {"encode_H2": 1, "build_P_pm": 2}
+
+
+def test_leaf_blocks_take_the_simulate_tier_names(dg8):
+    assert LeafBlocks(dg8).method == "circuit"
+    assert LeafBlocks(dg8, "classical-ff").method == "classical-ff"
+    with pytest.raises(ParameterError):
+        LeafBlocks(dg8, "dense")
+
+
+def test_leaf_blocks_reject_an_invalid_graph():
+    edges = {(u, v) for u in range(8) for v in range(u + 1, 8)}
+    g = netgraph._from_edges(8, [], edges, 0, 1, 2)
+    with pytest.raises(GraphStructureError):
+        LeafBlocks(g)
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    with pytest.raises(GraphStructureError):
+        dyson.simulate_full(g, 0.0, 1e-2, psi0)
+
+
+@pytest.mark.parametrize(
+    "params", [p for p in random_graph_params() if p[0] <= 16])
+@settings(max_examples=3)
+@given(seed=st.integers(0, 2 ** 16), t=st.floats(0.01, 1.5))
+def test_tiers_agree_across_generated_graphs(params, seed, t):
+    # the parameter list covers M=0, M=1 and h=1; both tiers reach the
+    # exact evolution at t=0 and at t, report the same schedule and
+    # tallies, and book the same residual encoding (alpha2, ancillas)
+    g = netgraph.generate(*params, rng_seed=seed)
+    eps = 1e-2
+    dim = 2 ** g.n_qubits
+    psi0 = np.random.default_rng(seed).normal(size=dim).astype(np.complex128)
+    psi0 /= np.linalg.norm(psi0)
+    a = g.dense_adjacency().astype(np.complex128)
+    for t_val in (0.0, t):
+        ref = refcheck.dense_expm(a, t_val) @ psi0
+        docs = {}
+        for method in ("circuit", "classical-ff"):
+            psi, report = dyson.simulate_full(g, t_val, eps, psi0,
+                                              method=method)
+            assert refcheck.distance(psi, ref) <= eps
+            docs[method] = report.as_dict()
+            del docs[method]["method"], docs[method]["norm_deficit"]
+        assert docs["circuit"] == docs["classical-ff"]
+    assert LeafBlocks(g).h2_block()[1:] \
+        == LeafBlocks(g, "classical-ff").h2_block()[1:]
 
 
 def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):

@@ -80,6 +80,21 @@ def test_rotated_propagator_matches_direct(dg8, dg8_dense):
     assert np.max(np.abs(prop - exact)) < 1e-10
 
 
+def test_rotated_integration_runs_backward_in_time(dg8, dg8_dense):
+    # a negative time integrates the time-reversed equation; it must not
+    # return the initial state unchanged
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    out = refcheck.rotated_reference(dg8, -0.5, psi0, tol=1e-10)
+    ref = refcheck.dense_expm(dg8_dense["A"], -0.5) @ psi0
+    assert np.linalg.norm(out - ref) < 1e-9
+    tau = -0.3
+    prop = refcheck.rotated_propagator(dg8, tau, tol=1e-12)
+    exact = refcheck.dense_expm(dg8_dense["G"], -tau) \
+        @ refcheck.dense_expm(dg8_dense["A"], tau)
+    assert np.max(np.abs(prop - exact)) < 1e-10
+
+
 def test_distance_trivials():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)
