@@ -138,7 +138,8 @@ class LeafBlocks:
     verified dense forms.  The graph is validated here, once.  One source
     per solve builds the residual encoding, the t-independent exp(-iGt)
     bundle and each distinct exp(-iGt) encoding once, and drops them with
-    the solve.  The oracle set is built on first use when none is given.
+    the solve.  The oracle set is built on first use when none is given;
+    one built on another graph raises ``ParameterError``.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -148,6 +149,8 @@ class LeafBlocks:
         report = validate(graph)
         if not report.passed:
             raise GraphStructureError("; ".join(report.failures()))
+        if oracle_set is not None and oracle_set.graph != graph:
+            raise ParameterError("oracle set was built on another graph")
         self.graph = graph
         self.method = method
         self._oracles = oracle_set
@@ -167,8 +170,8 @@ class LeafBlocks:
         key = (t, eps)
         if key not in self._exp_g:
             if self._exp_g_bundle is None and self.graph.m_hubs:
-                self._exp_g_bundle = expG_bundle(self.graph, self.oracles)
-            self._exp_g[key] = build_expG(self.graph, t, eps, self.oracles,
+                self._exp_g_bundle = expG_bundle(self.oracles)
+            self._exp_g[key] = build_expG(self.oracles, t, eps,
                                           bundle=self._exp_g_bundle)
         return self._exp_g[key]
 
@@ -182,7 +185,7 @@ class LeafBlocks:
 
     def h2_encoding(self) -> BlockEncoding:
         if self._h2 is None:
-            self._h2 = encode_H2(self.graph, self.oracles)
+            self._h2 = encode_H2(self.oracles)
         return self._h2
 
     def h2_block(self) -> tuple[np.ndarray, float, int]:

@@ -14,7 +14,9 @@ signed linear combination, then amplifies the result to a unit-factor
 encoding.  Only the phased projector circuit depends on t: the eigenvector
 preparations, the unphased projector circuit (with its extracted block)
 and the identity branch form an ``ExpGBundle`` that one graph's encodings
-for every t can share.
+for every t can share.  The circuit constructors take the graph's
+``OracleSet`` and read the graph from it; a bundle records the oracle set
+it was built on, and ``build_expG`` rejects a bundle from another one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .blockenc import BlockEncoding, fixed_point_aa, identity_encoding, lcu
 from .errors import ParameterError
 from .netgraph import HubSparseGraph
-from .oracles import OracleSet, build_oracle_set
+from .oracles import OracleSet
 from .qstate import Circuit, RegisterLayout, hadamard_layer, rz_gate, x_gate
 
 
@@ -82,8 +84,7 @@ def hub_block_factor(graph: HubSparseGraph) -> float:
     return 0.5 * (1.0 + np.sqrt(n / (n - m))) ** 2
 
 
-def build_P_pm(graph: HubSparseGraph, sign: int,
-               oracle_set: OracleSet | None = None) -> BlockEncoding:
+def build_P_pm(oracles: OracleSet, sign: int) -> BlockEncoding:
     """State-preparation encoding mapping |0^n> to the +/- eigenvector.
 
     Combination of two preparation branches: a flagged uniform
@@ -94,10 +95,10 @@ def build_P_pm(graph: HubSparseGraph, sign: int,
     """
     if sign not in (+1, -1):
         raise ParameterError("sign must be +1 or -1")
+    graph = oracles.graph
     n_nodes, m_hubs = graph.n_nodes, graph.m_hubs
     if m_hubs < 1:
         raise ParameterError("no hubs: eigenvector preparation undefined")
-    oracles = oracle_set or build_oracle_set(graph)
     n = graph.n_qubits
 
     reg_circ = Circuit(RegisterLayout(("flag", 1), ("sys", n)), label="prep_regular")
@@ -147,31 +148,31 @@ def _marked_projector_circuit(graph: HubSparseGraph, u_plus: BlockEncoding,
 class ExpGBundle:
     """The t-independent parts of an exp(-iGt) encoding: the eigenvector
     preparations, the unphased marked-projector encoding (its block is
-    extracted once, on first use) and the 5-ancilla identity branch."""
+    extracted once, on first use) and the 5-ancilla identity branch, built
+    on ``oracles``."""
 
+    oracles: OracleSet
     u_plus: BlockEncoding
     u_minus: BlockEncoding
     plain: BlockEncoding
     identity: BlockEncoding
 
 
-def expG_bundle(graph: HubSparseGraph,
-                oracle_set: OracleSet | None = None) -> ExpGBundle:
+def expG_bundle(oracles: OracleSet) -> ExpGBundle:
     """Build the t-independent parts of exp(-iGt) for a graph with hubs."""
-    oracles = oracle_set or build_oracle_set(graph)
-    u_plus = build_P_pm(graph, +1, oracles)
-    u_minus = build_P_pm(graph, -1, oracles)
+    graph = oracles.graph
+    u_plus = build_P_pm(oracles, +1)
+    u_minus = build_P_pm(oracles, -1)
     plain = _marked_projector_circuit(graph, u_plus, u_minus, 0.0,
                                       with_phase=False)
     return ExpGBundle(
-        u_plus, u_minus,
+        oracles, u_plus, u_minus,
         BlockEncoding(plain, hub_block_factor(graph), 5, graph.n_qubits,
                       label="plain_projectors"),
         identity_encoding(graph.n_qubits, 5, label="identity5"))
 
 
-def build_expG(graph: HubSparseGraph, t: float, eps: float,
-               oracle_set: OracleSet | None = None, *,
+def build_expG(oracles: OracleSet, t: float, eps: float, *,
                bundle: ExpGBundle | None = None) -> BlockEncoding:
     """Unit-factor encoding of exp(-iGt), accurate to ``eps``.
 
@@ -181,15 +182,19 @@ def build_expG(graph: HubSparseGraph, t: float, eps: float,
     gate count is independent of t (t only sets one rotation angle).
 
     Only the phased projector circuit, the combination and the
-    amplification are built per call.  The rest comes from ``bundle``, the
-    graph's ``expG_bundle``, shared across t (its oracle set is the one the
-    circuits use); without it the call builds its own, with the same
-    result.
+    amplification are built per call.  The rest comes from ``bundle``,
+    ``expG_bundle(oracles)`` shared across t; without it the call builds
+    its own, with the same result.  A bundle built on another oracle set
+    raises ``ParameterError``.
     """
+    graph = oracles.graph
     n = graph.n_qubits
     if graph.m_hubs == 0:
         return identity_encoding(n, 8, label="exp_g_empty")
-    bundle = bundle or expG_bundle(graph, oracle_set)
+    if bundle is None:
+        bundle = expG_bundle(oracles)
+    elif bundle.oracles is not oracles:
+        raise ParameterError("exp(-iGt) bundle was built on another oracle set")
     phased = _marked_projector_circuit(graph, bundle.u_plus, bundle.u_minus,
                                        t, with_phase=True)
     be_phased = BlockEncoding(phased, bundle.plain.alpha, 5, n,

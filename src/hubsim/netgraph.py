@@ -185,7 +185,7 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
     conditions.append((
         "hub_count", ok_count,
         f"|hubs|={len(graph.hubs)} matches M={m}" if ok_count else
-        f"|hubs|={len(graph.hubs)} but M={m}",
+        f"hubs {list(graph.hubs)} must be M={m} distinct nodes in [0, {n})",
     ))
 
     structural = []
@@ -205,7 +205,8 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
         "; ".join(structural) if structural else "symmetric, zero diagonal",
     ))
 
-    bad_hubs = [u for u in graph.hubs if graph.degree(u) < n - h]
+    bad_hubs = [u for u in graph.hubs
+                if 0 <= u < n and graph.degree(u) < n - h]
     conditions.append((
         "hub_min_degree", not bad_hubs,
         f"hubs below degree {n - h}: {bad_hubs}" if bad_hubs else
@@ -381,6 +382,10 @@ def from_json_dict(data: dict) -> HubSparseGraph:
         m, h, s = int(params["M"]), int(params["h"]), int(params["s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
+    if any(not (0 <= u < n) for u in hubs):
+        raise GraphStructureError(f"hub index out of range in {hubs}")
+    if len(set(hubs)) != len(hubs):
+        raise GraphStructureError(f"duplicate hub in {hubs}")
     seen = set()
     for u, v in raw_edges:
         if u == v:

@@ -1,15 +1,18 @@
 """Explicit block-encoding circuits for the three sparse pieces of the
 adjacency split, and their signed combination.
 
-Each circuit follows the same sparse-row pattern: spread an index register
-over the relevant column positions of the input row (neighbors for the
-regular piece, located hubs for the hub piece, missing-link positions for
-the difference piece), test the entry and the endpoint types into flag
-qubits, fold the test results into a single ancilla, uncompute, then undo
-the same preparation read against the output row.  Normalization factors
-are the superposition widths: M, s and h respectively.
+One builder, ``_sparse_row``, implements the sparse-row pattern all three
+pieces share: spread an index register over the relevant column positions
+of the input row (neighbors for the regular piece, located hubs for the
+hub piece, missing-link positions for the difference piece), test the
+entry and the endpoint types into flag qubits, fold the test results into
+a single ancilla, uncompute, then undo the same preparation read against
+the output row.  The pieces differ only in the index oracle, the type-flag
+registers and the fold.  Normalization factors are the superposition
+widths: M, s and h respectively.
 
-Encoded blocks are exact up to floating point; claimed eps is 0.
+Every constructor takes the graph's ``OracleSet`` and reads the graph from
+it.  Encoded blocks are exact up to floating point; claimed eps is 0.
 """
 
 from __future__ import annotations
@@ -19,78 +22,70 @@ import numpy as np
 from .blockenc import BlockEncoding, lcu, zero_encoding
 from .errors import EncodingError
 from .netgraph import HubSparseGraph, validate
-from .oracles import OracleSet, build_oracle_set
+from .oracles import OracleSet
 from .qstate import Circuit, RegisterLayout, hadamard_layer, register_swap, x_gate
 
 
-def _require_valid(graph: HubSparseGraph) -> None:
-    report = validate(graph)
+def _valid_graph(oracles: OracleSet) -> HubSparseGraph:
+    report = validate(oracles.graph)
     if not report.passed:
         raise EncodingError("graph fails validation: " + "; ".join(report.failures()))
+    return oracles.graph
 
 
-def encode_Ah(graph: HubSparseGraph,
-              oracle_set: OracleSet | None = None) -> BlockEncoding:
+def _sparse_row(oracles: OracleSet, stage: str, label: str, width: int,
+                index, index_on: list[str], flags, fold) -> BlockEncoding:
+    """(width, n + 2 + len(flags))-encoding of one sparse piece.
+
+    ``index`` spreads the index register over ``index_on``.  ``flags``
+    lists (flag register, tested register) in layout order; the type tests
+    run in reverse order after the entry test.  ``fold`` lists the
+    controlled X gates (target, controls) that fold the tests into ``t``.
+    """
+    n = oracles.graph.n_qubits
+    layout = RegisterLayout(("t", 1), *((flag, 1) for flag, _ in flags),
+                            ("a", 1), ("work", n), ("sys", n), stage=stage)
+    circ = Circuit(layout, label=label)
+    log_w = int(np.log2(width))
+    tests = [(oracles.o_a, ["work", "sys", "a"])]
+    tests += [(oracles.o_k, [reg, flag]) for flag, reg in reversed(flags)]
+    if log_w:
+        circ.append(hadamard_layer(log_w), on=[("work", n - log_w, n)])
+    circ.append(index, on=index_on)
+    for oracle, on in tests:
+        circ.append(oracle, on=on)
+    for target, controls in fold:
+        circ.append(x_gate(), on=[target], controls=controls)
+    for oracle, on in reversed(tests):
+        circ.append(oracle, on=on)
+    circ.append(register_swap(n), on=["work", "sys"])
+    circ.append(index, on=index_on, adjoint=True)
+    if log_w:
+        circ.append(hadamard_layer(log_w), on=[("work", n - log_w, n)])
+    circ.append(x_gate(), on=["t"])
+    return BlockEncoding(circ, float(width), n + 2 + len(flags), n, label=label)
+
+
+def encode_Ah(oracles: OracleSet) -> BlockEncoding:
     """(M, n+3)-encoding of the hub-hub link matrix."""
-    _require_valid(graph)
-    n = graph.n_qubits
-    m_hubs = graph.m_hubs
-    if m_hubs == 0:
-        return zero_encoding(n, label="a_hub_empty")
-    oracles = oracle_set or build_oracle_set(graph)
-    layout = RegisterLayout(("t", 1), ("k", 1), ("a", 1), ("work", n), ("sys", n),
-                            stage="encode_Ah")
-    circ = Circuit(layout, label="a_hub")
-    work, sys_, a, k = ["work"], ["sys"], ["a"], ["k"]
-    log_m = int(np.log2(m_hubs))
-    if log_m:
-        circ.append(hadamard_layer(log_m), on=[("work", n - log_m, n)])
-    circ.append(oracles.o_h, on=work)
-    circ.append(oracles.o_a, on=work + sys_ + a)
-    circ.append(oracles.o_k, on=sys_ + k)
-    circ.append(x_gate(), on=["t"], controls=[("k", 1), ("a", 1)])
-    circ.append(oracles.o_k, on=sys_ + k)
-    circ.append(oracles.o_a, on=work + sys_ + a)
-    circ.append(register_swap(n), on=work + sys_)
-    circ.append(oracles.o_h, on=work, adjoint=True)
-    if log_m:
-        circ.append(hadamard_layer(log_m), on=[("work", n - log_m, n)])
-    circ.append(x_gate(), on=["t"])
-    return BlockEncoding(circ, float(m_hubs), n + 3, n, label="a_hub")
+    graph = _valid_graph(oracles)
+    if graph.m_hubs == 0:
+        return zero_encoding(graph.n_qubits, label="a_hub_empty")
+    return _sparse_row(oracles, "encode_Ah", "a_hub", graph.m_hubs,
+                       oracles.o_h, ["work"], [("k", "sys")],
+                       [("t", [("k", 1), ("a", 1)])])
 
 
-def encode_Ar(graph: HubSparseGraph,
-              oracle_set: OracleSet | None = None) -> BlockEncoding:
+def encode_Ar(oracles: OracleSet) -> BlockEncoding:
     """(s, n+4)-encoding of the regular-regular link matrix."""
-    _require_valid(graph)
-    n = graph.n_qubits
-    s = graph.s_param
-    oracles = oracle_set or build_oracle_set(graph)
-    layout = RegisterLayout(("t", 1), ("kr", 1), ("kc", 1), ("a", 1),
-                            ("work", n), ("sys", n), stage="encode_Ar")
-    circ = Circuit(layout, label="a_reg")
-    work, sys_ = ["work"], ["sys"]
-    log_s = int(np.log2(s))
-    if log_s:
-        circ.append(hadamard_layer(log_s), on=[("work", n - log_s, n)])
-    circ.append(oracles.o_l, on=sys_ + work)
-    circ.append(oracles.o_a, on=work + sys_ + ["a"])
-    circ.append(oracles.o_k, on=sys_ + ["kc"])
-    circ.append(oracles.o_k, on=work + ["kr"])
-    circ.append(x_gate(), on=["t"], controls=[("kr", 0), ("kc", 0), ("a", 1)])
-    circ.append(oracles.o_k, on=work + ["kr"])
-    circ.append(oracles.o_k, on=sys_ + ["kc"])
-    circ.append(oracles.o_a, on=work + sys_ + ["a"])
-    circ.append(register_swap(n), on=work + sys_)
-    circ.append(oracles.o_l, on=sys_ + work, adjoint=True)
-    if log_s:
-        circ.append(hadamard_layer(log_s), on=[("work", n - log_s, n)])
-    circ.append(x_gate(), on=["t"])
-    return BlockEncoding(circ, float(s), n + 4, n, label="a_reg")
+    graph = _valid_graph(oracles)
+    return _sparse_row(oracles, "encode_Ar", "a_reg", graph.s_param,
+                       oracles.o_l, ["sys", "work"],
+                       [("kr", "work"), ("kc", "sys")],
+                       [("t", [("kr", 0), ("kc", 0), ("a", 1)])])
 
 
-def encode_Aminus(graph: HubSparseGraph,
-                  oracle_set: OracleSet | None = None) -> BlockEncoding:
+def encode_Aminus(oracles: OracleSet) -> BlockEncoding:
     """(h, n+4)-encoding of the missing hub-regular link matrix.
 
     The missing-link read q(., row) must cover every absent hub-regular
@@ -100,57 +95,32 @@ def encode_Aminus(graph: HubSparseGraph,
     breaks that coverage, so it is rejected here (the bundled generator
     never produces one).
     """
-    _require_valid(graph)
-    n = graph.n_qubits
+    graph = _valid_graph(oracles)
     h = graph.h_param
-    hubset = set(graph.hubs)
     for v in graph.regulars:
-        miss = sum(1 for u in hubset if not graph.has_edge(u, v))
+        miss = sum(1 for u in graph.hubs if not graph.has_edge(u, v))
         if miss > h:
             raise EncodingError(
                 f"regular node {v} misses {miss} hubs > h={h}; the index "
                 "superposition cannot reach all of its missing links")
-    oracles = oracle_set or build_oracle_set(graph)
-    layout = RegisterLayout(("t", 1), ("kx", 1), ("kc", 1), ("a", 1),
-                            ("work", n), ("sys", n), stage="encode_Aminus")
-    circ = Circuit(layout, label="a_minus")
-    work, sys_ = ["work"], ["sys"]
-    log_h = int(np.log2(h))
-    if log_h:
-        circ.append(hadamard_layer(log_h), on=[("work", n - log_h, n)])
-    circ.append(oracles.o_z, on=sys_ + work)
-    circ.append(oracles.o_a, on=work + sys_ + ["a"])
-    circ.append(oracles.o_k, on=sys_ + ["kc"])
-    circ.append(oracles.o_k, on=work + ["kx"])
-    circ.append(x_gate(), on=["kx"], controls=[("kc", 1)])
-    circ.append(x_gate(), on=["t"], controls=[("kx", 1), ("a", 0)])
-    circ.append(x_gate(), on=["kx"], controls=[("kc", 1)])
-    circ.append(oracles.o_k, on=work + ["kx"])
-    circ.append(oracles.o_k, on=sys_ + ["kc"])
-    circ.append(oracles.o_a, on=work + sys_ + ["a"])
-    circ.append(register_swap(n), on=work + sys_)
-    circ.append(oracles.o_z, on=sys_ + work, adjoint=True)
-    if log_h:
-        circ.append(hadamard_layer(log_h), on=[("work", n - log_h, n)])
-    circ.append(x_gate(), on=["t"])
-    return BlockEncoding(circ, float(h), n + 4, n, label="a_minus")
+    kx_from_kc = ("kx", [("kc", 1)])
+    return _sparse_row(oracles, "encode_Aminus", "a_minus", h,
+                       oracles.o_z, ["sys", "work"],
+                       [("kx", "work"), ("kc", "sys")],
+                       [kx_from_kc, ("t", [("kx", 1), ("a", 0)]), kx_from_kc])
 
 
-def encode_H2(graph: HubSparseGraph,
-              oracle_set: OracleSet | None = None) -> BlockEncoding:
+def encode_H2(oracles: OracleSet) -> BlockEncoding:
     """Signed combination -A_minus + A_hub + A_reg.
 
     With hubs present this is an (h + M + s, n+6)-encoding; a hub-free
     graph reduces to the regular piece alone (factor s).
     """
-    _require_valid(graph)
-    oracles = oracle_set or build_oracle_set(graph)
-    be_r = encode_Ar(graph, oracles)
+    graph = _valid_graph(oracles)
+    be_r = encode_Ar(oracles)
     if graph.m_hubs == 0:
         be_r.label = "h2"
         return be_r
-    be_minus = encode_Aminus(graph, oracles)
-    be_h = encode_Ah(graph, oracles)
-    be = lcu([-1.0, 1.0, 1.0], [be_minus, be_h, be_r])
+    be = lcu([-1.0, 1.0, 1.0], [encode_Aminus(oracles), encode_Ah(oracles), be_r])
     be.label = "h2"
     return be

@@ -70,13 +70,13 @@ def test_criterion_3_sparse_encodings():
     for g in graphs:
         oracles = build_oracle_set(g)
         parts = netgraph.split(g)
-        be = sparse_enc.encode_Ah(g, oracles)
+        be = sparse_enc.encode_Ah(oracles)
         assert be.alpha == g.m_hubs
         assert verify(be, parts.dense_a_h().astype(complex)) <= 1e-10
-        be = sparse_enc.encode_Ar(g, oracles)
+        be = sparse_enc.encode_Ar(oracles)
         assert be.alpha == g.s_param
         assert verify(be, parts.dense_a_r().astype(complex)) <= 1e-10
-        be = sparse_enc.encode_Aminus(g, oracles)
+        be = sparse_enc.encode_Aminus(oracles)
         assert be.alpha == g.h_param
         assert verify(be, parts.dense_a_minus().astype(complex)) <= 1e-10
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def test_criterion_4_fast_forward():
     dense_g = g.dense_link_matrix().astype(complex)
     counts = set()
     for t in (0.3, 1.7, 10.0, 100.0):
-        be = ffhub.build_expG(g, t, 1e-6)
+        be = ffhub.build_expG(build_oracle_set(g), t, 1e-6)
         err = verify(be, refcheck.dense_expm(dense_g, t))
         assert err <= 1e-6, (t, err)
         counts.add(be.gate_count())

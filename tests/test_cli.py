@@ -65,6 +65,15 @@ def test_spectrum_hub_free_exits_2(tmp_path):
     assert run_cli("spectrum", str(path)) == 2
 
 
+def test_bad_hub_list_exits_2(tmp_path):
+    doc = netgraph.to_json_dict(netgraph.dg8())
+    path = tmp_path / "bad_hubs.json"
+    for hubs in ([6, 9], [6, 6]):
+        path.write_text(json.dumps({**doc, "hubs": hubs}))
+        assert run_cli("validate", str(path)) == 2
+        assert run_cli("spectrum", str(path)) == 2
+
+
 def test_verify_be_passes(graph_file, tmp_path):
     out = tmp_path / "verify.json"
     assert run_cli("verify-be", graph_file, "--t", "0.9", "--eps", "1e-5",
@@ -132,6 +141,9 @@ def test_simulate_bad_psi0_exits_2(graph_file, tmp_path):
                    "--psi0", "wat", "-o", str(tmp_path / "r.json")) == 2
     bad = tmp_path / "bad_state.json"
     bad.write_text(json.dumps({"n": 8}))
+    assert run_cli("simulate", graph_file, "--t", "1",
+                   "--psi0", f"file:{bad}", "-o", str(tmp_path / "r.json")) == 2
+    bad.write_text(json.dumps({"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}))
     assert run_cli("simulate", graph_file, "--t", "1",
                    "--psi0", f"file:{bad}", "-o", str(tmp_path / "r.json")) == 2
     for time_eps in (("--t", "1", "--eps", "0"), ("--t", "1", "--eps", "nan"),

@@ -400,9 +400,9 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     calls = []
     build = dyson.build_expG
 
-    def counting(graph, t, eps, *args, **kwargs):
+    def counting(oracles, t, eps, *args, **kwargs):
         calls.append((t, eps))
-        return build(graph, t, eps, *args, **kwargs)
+        return build(oracles, t, eps, *args, **kwargs)
 
     monkeypatch.setattr(dyson, "build_expG", counting)
     psi0 = np.zeros(8, dtype=np.complex128)
@@ -451,6 +451,23 @@ def test_leaf_blocks_reject_an_invalid_graph():
     psi0[0] = 1.0
     with pytest.raises(GraphStructureError):
         dyson.simulate_full(g, 0.0, 1e-2, psi0)
+
+
+def test_leaf_blocks_reject_a_foreign_oracle_set():
+    from hubsim.oracles import build_oracle_set
+    g1 = netgraph.generate(16, 2, 4, 2, rng_seed=1)
+    foreign = build_oracle_set(netgraph.generate(16, 2, 4, 2, rng_seed=2))
+    with pytest.raises(ParameterError):
+        LeafBlocks(g1, "circuit", foreign)
+    psi0 = np.zeros(16, dtype=np.complex128)
+    psi0[0] = 1.0
+    for method in ("circuit", "classical-ff"):
+        with pytest.raises(ParameterError):
+            dyson.simulate_full(g1, 0.5, 1e-2, psi0, method=method,
+                                oracle_set=foreign)
+    # an oracle set of an equal graph is accepted
+    same = build_oracle_set(netgraph.generate(16, 2, 4, 2, rng_seed=1))
+    assert LeafBlocks(g1, "circuit", same).oracles is same
 
 
 @pytest.mark.parametrize(
@@ -520,8 +537,8 @@ def test_structural_profile_matches_enumeration(dg8, dg8_oracles):
     from hubsim.dyson import _structural_oracle_profile
     from hubsim.ffhub import build_expG
     from hubsim.sparse_enc import encode_H2
-    be_g = build_expG(dg8, 0.25, 1e-4, dg8_oracles)
-    be_h2 = encode_H2(dg8, dg8_oracles)
+    be_g = build_expG(dg8_oracles, 0.25, 1e-4)
+    be_h2 = encode_H2(dg8_oracles)
     formula = _structural_oracle_profile(dg8, be_g.aa_degree, 1, 1)
     combined = dict(be_g.query_profile())
     for key, val in be_h2.query_profile().items():

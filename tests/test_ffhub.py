@@ -47,11 +47,11 @@ def test_spectrum_degenerate_raises():
         ffhub.spectrum_G(g)
 
 
-def test_p_pm_alpha_and_direction(dg8):
+def test_p_pm_alpha_and_direction(dg8, dg8_oracles):
     spec = ffhub.spectrum_G(dg8)
     expect_alpha = (1.0 / np.sqrt(2.0)) * (1.0 + np.sqrt(8.0 / 6.0))
     for sign, target in ((+1, spec.psi_plus), (-1, spec.psi_minus)):
-        be = ffhub.build_P_pm(dg8, sign)
+        be = ffhub.build_P_pm(dg8_oracles, sign)
         assert be.alpha == pytest.approx(expect_alpha)
         assert be.m == 2
         column = be.alpha * be.block()[:, 0]
@@ -60,7 +60,7 @@ def test_p_pm_alpha_and_direction(dg8):
 
 def test_p_pm_alpha_half_hubs():
     g = netgraph.generate(8, 4, 4, 4, rng_seed=1)
-    be = ffhub.build_P_pm(g, +1)
+    be = ffhub.build_P_pm(build_oracle_set(g), +1)
     assert be.alpha == pytest.approx((1.0 / np.sqrt(2.0)) * (1.0 + np.sqrt(2.0)))
 
 
@@ -73,13 +73,13 @@ def test_expg_prefactor_dg8(dg8):
     assert 2 * beta + 1 == pytest.approx(5.64273441, abs=1e-7)
 
 
-def test_expg_t0_is_identity(dg8):
-    be = ffhub.build_expG(dg8, 0.0, 1e-6)
+def test_expg_t0_is_identity(dg8_oracles):
+    be = ffhub.build_expG(dg8_oracles, 0.0, 1e-6)
     assert spectral_norm(np.eye(8) - be.block()) <= 1e-6
 
 
-def test_expg_dg8_vs_dense(dg8, dg8_dense):
-    be = ffhub.build_expG(dg8, 1.7, 1e-6)
+def test_expg_dg8_vs_dense(dg8, dg8_dense, dg8_oracles):
+    be = ffhub.build_expG(dg8_oracles, 1.7, 1e-6)
     target = refcheck.dense_expm(dg8_dense["G"], 1.7)
     assert spectral_norm(target - be.block()) <= 1e-6
     assert be.alpha == 1.0
@@ -90,26 +90,26 @@ def test_expg_dg8_vs_dense(dg8, dg8_dense):
     assert be.pre_ancillas == 7
 
 
-def test_expg_gate_count_independent_of_t(dg8):
-    counts = {ffhub.build_expG(dg8, t, 1e-6).gate_count()
+def test_expg_gate_count_independent_of_t(dg8_oracles):
+    counts = {ffhub.build_expG(dg8_oracles, t, 1e-6).gate_count()
               for t in (1.0, 1000.0)}
     assert len(counts) == 1
 
 
 def test_expg_hub_free_identity():
     g = netgraph.generate(8, 0, 2, 1, rng_seed=0)
-    be = ffhub.build_expG(g, 5.0, 1e-8)
+    be = ffhub.build_expG(build_oracle_set(g), 5.0, 1e-8)
     assert be.m == 8
     assert spectral_norm(np.eye(8) - be.block()) == 0.0
 
 
-def test_expg_amplified_circuit_matches_block(dg8):
-    be = ffhub.build_expG(dg8, 0.9, 1e-4)
+def test_expg_amplified_circuit_matches_block(dg8_oracles):
+    be = ffhub.build_expG(dg8_oracles, 0.9, 1e-4)
     circ_block = extract_block(be.unitary, 3)
     assert np.max(np.abs(circ_block - be.block())) < 1e-9
 
 
-def test_marked_projector_circuit_action(dg8, dg8_dense):
+def test_marked_projector_circuit_action(dg8, dg8_dense, dg8_oracles):
     # the phased projector stage acts as e^{-i lambda t}/beta on each
     # eigenvector and annihilates the zero eigenspace
     from hubsim.ffhub import (_marked_projector_circuit, build_P_pm,
@@ -117,8 +117,8 @@ def test_marked_projector_circuit_action(dg8, dg8_dense):
     t = 1.3
     spec = spectrum_G(dg8)
     beta = hub_block_factor(dg8)
-    u_plus = build_P_pm(dg8, +1)
-    u_minus = build_P_pm(dg8, -1)
+    u_plus = build_P_pm(dg8_oracles, +1)
+    u_minus = build_P_pm(dg8_oracles, -1)
     circ = _marked_projector_circuit(dg8, u_plus, u_minus, t, with_phase=True)
     block = extract_block(circ, 3)
     amp_plus = spec.psi_plus.conj() @ block @ spec.psi_plus
@@ -164,8 +164,8 @@ def test_classical_expg_group_property(dg8):
     assert np.linalg.norm(one_shot - two_step) < 1e-11
 
 
-def test_expg_query_profile_formula(dg8):
-    be = ffhub.build_expG(dg8, 1.0, 1e-6)
+def test_expg_query_profile_formula(dg8_oracles):
+    be = ffhub.build_expG(dg8_oracles, 1.0, 1e-6)
     profile = be.query_profile()
     big_l = be.aa_degree
     assert profile == {"O_K": 8 * big_l, "O_H": 8 * big_l}
@@ -176,18 +176,30 @@ def test_expg_shared_bundle_matches_standalone(graph_name, dg8):
     graph = dg8 if graph_name == "dg8" else netgraph.generate(
         16, 2, 4, 2, rng_seed=3)
     oracles = build_oracle_set(graph)
-    bundle = ffhub.expG_bundle(graph, oracles)
+    bundle = ffhub.expG_bundle(oracles)
     for t in (0.0, 0.3, 1.7, 5.0):
-        shared = ffhub.build_expG(graph, t, 1e-6, oracles, bundle=bundle)
-        alone = ffhub.build_expG(graph, t, 1e-6)
+        shared = ffhub.build_expG(oracles, t, 1e-6, bundle=bundle)
+        alone = ffhub.build_expG(build_oracle_set(graph), t, 1e-6)
         assert np.max(np.abs(shared.block() - alone.block())) <= 1e-12
         assert shared.gate_count() == alone.gate_count()
         assert shared.query_profile() == alone.query_profile()
 
 
-def test_expg_shared_bundle_circuit_matches_block(dg8):
-    bundle = ffhub.expG_bundle(dg8)
-    ffhub.build_expG(dg8, 0.3, 1e-4, bundle=bundle).block()
-    be = ffhub.build_expG(dg8, 0.9, 1e-4, bundle=bundle)
+def test_expg_rejects_a_bundle_from_another_oracle_set(dg8, dg8_oracles):
+    g1 = netgraph.generate(16, 2, 4, 2, rng_seed=1)
+    g2 = netgraph.generate(16, 2, 4, 2, rng_seed=2)
+    with pytest.raises(ParameterError):
+        ffhub.build_expG(build_oracle_set(g1), 0.7, 1e-6,
+                         bundle=ffhub.expG_bundle(build_oracle_set(g2)))
+    # a second oracle set of the same graph is another oracle set too
+    with pytest.raises(ParameterError):
+        ffhub.build_expG(dg8_oracles, 0.7, 1e-6,
+                         bundle=ffhub.expG_bundle(build_oracle_set(dg8)))
+
+
+def test_expg_shared_bundle_circuit_matches_block(dg8_oracles):
+    bundle = ffhub.expG_bundle(dg8_oracles)
+    ffhub.build_expG(dg8_oracles, 0.3, 1e-4, bundle=bundle).block()
+    be = ffhub.build_expG(dg8_oracles, 0.9, 1e-4, bundle=bundle)
     circ_block = extract_block(be.unitary, 3)
     assert np.max(np.abs(circ_block - be.block())) <= 1e-10

@@ -77,6 +77,13 @@ def test_validate_complete_graph_m0():
 def test_validate_reports_are_not_exceptions():
     g = netgraph._from_edges(4, [], set(), 0, 1, 1)
     assert netgraph.validate(g).passed
+    # hub lists out of range or with repeats fail hub_count, not an index
+    edges = netgraph.dg8().edges()
+    for hubs in ([6, 9], [6, 6]):
+        report = netgraph.validate(netgraph._from_edges(8, hubs, edges, 2, 2, 4))
+        assert not report.passed
+        assert [name for name, ok, _ in report.conditions if not ok][0] \
+            == "hub_count"
 
 
 def test_split_dg8_exact(dg8_split):
@@ -173,6 +180,9 @@ def test_json_rejects_bad_edges():
         netgraph.from_json_dict({**base, "edges": [[0, 9]]})
     with pytest.raises(GraphStructureError):
         netgraph.from_json_dict({"nodes": 8, "edges": []})
+    for hubs in ([6, 9], [-1, 6], [6, 6]):
+        with pytest.raises(GraphStructureError):
+            netgraph.from_json_dict({**base, "hubs": hubs, "edges": []})
 
 
 def test_missing_hub_cap_respected():

@@ -11,7 +11,7 @@ from conftest import random_graph_params
 
 
 def test_ah_dg8_exact(dg8, dg8_split, dg8_oracles):
-    be = sparse_enc.encode_Ah(dg8, dg8_oracles)
+    be = sparse_enc.encode_Ah(dg8_oracles)
     assert be.alpha == 2.0
     assert be.m == 3 + 3
     err = verify(be, dg8_split.dense_a_h().astype(np.complex128))
@@ -25,17 +25,17 @@ def test_ah_no_hub_links_zero_block():
             {(u, 6) for u in range(6)} | {(1, 2)}
     g = netgraph._from_edges(8, [6, 7], edges, 2, 2, 4)
     assert netgraph.validate(g).passed
-    be = sparse_enc.encode_Ah(g)
+    be = sparse_enc.encode_Ah(build_oracle_set(g))
     assert np.max(np.abs(be.block())) < 1e-14
 
 
 def test_ah_block_symmetric(dg8, dg8_oracles):
-    blk = sparse_enc.encode_Ah(dg8, dg8_oracles).block()
+    blk = sparse_enc.encode_Ah(dg8_oracles).block()
     assert np.max(np.abs(blk - blk.T)) < 1e-12
 
 
 def test_ar_dg8(dg8, dg8_split, dg8_oracles):
-    be = sparse_enc.encode_Ar(dg8, dg8_oracles)
+    be = sparse_enc.encode_Ar(dg8_oracles)
     assert be.alpha == 4.0
     assert be.m == 3 + 4
     assert verify(be, dg8_split.dense_a_r().astype(np.complex128)) <= 1e-12
@@ -43,7 +43,7 @@ def test_ar_dg8(dg8, dg8_split, dg8_oracles):
 
 def test_ar_hub_free_equals_adjacency():
     g = netgraph.generate(8, 0, 4, 1, rng_seed=4)
-    be = sparse_enc.encode_Ar(g)
+    be = sparse_enc.encode_Ar(build_oracle_set(g))
     assert verify(be, g.dense_adjacency().astype(np.complex128)) <= 1e-12
 
 
@@ -51,12 +51,12 @@ def test_ar_star_with_hub_center_is_zero():
     edges = {(0, v) for v in range(1, 8)}
     g = netgraph._from_edges(8, [0], edges, 1, 1, 2)
     assert netgraph.validate(g).passed
-    be = sparse_enc.encode_Ar(g)
+    be = sparse_enc.encode_Ar(build_oracle_set(g))
     assert np.max(np.abs(be.block())) < 1e-14
 
 
 def test_aminus_dg8(dg8, dg8_split, dg8_oracles):
-    be = sparse_enc.encode_Aminus(dg8, dg8_oracles)
+    be = sparse_enc.encode_Aminus(dg8_oracles)
     assert be.alpha == 2.0
     assert be.m == 3 + 4
     assert verify(be, dg8_split.dense_a_minus().astype(np.complex128)) <= 1e-12
@@ -68,12 +68,12 @@ def test_aminus_dg8(dg8, dg8_split, dg8_oracles):
 def test_aminus_saturated_hubs_zero():
     edges = {(u, 7) for u in range(7)} | {(u, 6) for u in range(6)} | {(6, 7)}
     g = netgraph._from_edges(8, [6, 7], edges, 2, 2, 4)
-    be = sparse_enc.encode_Aminus(g)
+    be = sparse_enc.encode_Aminus(build_oracle_set(g))
     assert np.max(np.abs(be.block())) < 1e-14
 
 
 def test_aminus_block_values(dg8, dg8_oracles):
-    blk = sparse_enc.encode_Aminus(dg8, dg8_oracles).block()
+    blk = sparse_enc.encode_Aminus(dg8_oracles).block()
     vals = np.unique(np.round(np.abs(blk), 12))
     assert set(vals).issubset({0.0, 0.5})
 
@@ -91,11 +91,11 @@ def test_aminus_coverage_guard():
     g = netgraph._from_edges(8, hubs, edges, 4, 2, 4)
     assert netgraph.validate(g).passed
     with pytest.raises(EncodingError):
-        sparse_enc.encode_Aminus(g)
+        sparse_enc.encode_Aminus(build_oracle_set(g))
 
 
 def test_h2_dg8(dg8, dg8_dense, dg8_oracles):
-    be = sparse_enc.encode_H2(dg8, dg8_oracles)
+    be = sparse_enc.encode_H2(dg8_oracles)
     assert be.alpha == 8.0
     assert be.m == 3 + 6
     target = dg8_dense["A"] - dg8_dense["G"]
@@ -105,7 +105,7 @@ def test_h2_dg8(dg8, dg8_dense, dg8_oracles):
 
 def test_h2_hub_free_alpha_is_s():
     g = netgraph.generate(8, 0, 2, 1, rng_seed=0)
-    be = sparse_enc.encode_H2(g)
+    be = sparse_enc.encode_H2(build_oracle_set(g))
     assert be.alpha == 2.0
     assert verify(be, g.dense_adjacency().astype(np.complex128)) <= 1e-11
 
@@ -125,7 +125,7 @@ def test_h2_norm_below_alpha_50_graphs():
 
 def test_product_of_hub_encodings(dg8, dg8_split, dg8_oracles):
     from hubsim.blockenc import product
-    be = sparse_enc.encode_Ah(dg8, dg8_oracles)
+    be = sparse_enc.encode_Ah(dg8_oracles)
     squared = product(be, be)
     target = (dg8_split.dense_a_h().astype(complex) / 2.0) @ \
         (dg8_split.dense_a_h().astype(complex) / 2.0)
@@ -138,17 +138,17 @@ def test_split_identity_through_blocks():
         g = netgraph.generate(8, 2, 4, 2, rng_seed=seed)
         oracles = build_oracle_set(g)
         parts = netgraph.split(g)
-        total = (2.0 * sparse_enc.encode_Ah(g, oracles).block()
-                 + 4.0 * sparse_enc.encode_Ar(g, oracles).block()
-                 - 2.0 * sparse_enc.encode_Aminus(g, oracles).block()
+        total = (2.0 * sparse_enc.encode_Ah(oracles).block()
+                 + 4.0 * sparse_enc.encode_Ar(oracles).block()
+                 - 2.0 * sparse_enc.encode_Aminus(oracles).block()
                  + g.dense_link_matrix())
         assert np.max(np.abs(total - g.dense_adjacency())) < 1e-10
 
 
 def test_oracle_queries_per_application(dg8, dg8_oracles):
-    be_h = sparse_enc.encode_Ah(dg8, dg8_oracles)
-    be_r = sparse_enc.encode_Ar(dg8, dg8_oracles)
-    be_m = sparse_enc.encode_Aminus(dg8, dg8_oracles)
+    be_h = sparse_enc.encode_Ah(dg8_oracles)
+    be_r = sparse_enc.encode_Ar(dg8_oracles)
+    be_m = sparse_enc.encode_Aminus(dg8_oracles)
     assert be_h.query_profile() == {"O_H": 2, "O_A": 2, "O_K": 2}
     assert be_r.query_profile() == {"O_L": 2, "O_A": 2, "O_K": 4}
     assert be_m.query_profile() == {"O_Z": 2, "O_A": 2, "O_K": 4}
@@ -166,11 +166,11 @@ def test_encodings_on_random_graphs():
             g = netgraph.generate(n, m, s, h, rng_seed=seed)
             oracles = build_oracle_set(g)
             parts = netgraph.split(g)
-            assert verify(sparse_enc.encode_Ah(g, oracles),
+            assert verify(sparse_enc.encode_Ah(oracles),
                           parts.dense_a_h().astype(complex)) <= 1e-12
-            assert verify(sparse_enc.encode_Ar(g, oracles),
+            assert verify(sparse_enc.encode_Ar(oracles),
                           parts.dense_a_r().astype(complex)) <= 1e-12
-            assert verify(sparse_enc.encode_Aminus(g, oracles),
+            assert verify(sparse_enc.encode_Aminus(oracles),
                           parts.dense_a_minus().astype(complex)) <= 1e-12
 
 
@@ -178,4 +178,4 @@ def test_invalid_graph_rejected():
     edges = {(u, v) for u in range(8) for v in range(u + 1, 8)}
     g = netgraph._from_edges(8, [], edges, 0, 1, 2)
     with pytest.raises(EncodingError):
-        sparse_enc.encode_Ar(g)
+        sparse_enc.encode_Ar(build_oracle_set(g))
