@@ -15,8 +15,8 @@ from .netgraph import (GraphSplit, HubSparseGraph, dg8, generate, load_graph,
                        save_graph, split, validate)
 from .oracles import (OracleSet, build_oracle_set, derive_OK_by_query,
                       derive_OZ_by_query)
-from .qstate import (Circuit, LinearOperator, RegisterLayout, StateVector,
-                     extract_block, spectral_norm)
+from .qstate import (Circuit, LinearOperator, RegisterLayout, extract_block,
+                     spectral_norm)
 from .refcheck import (dense_expm, distance, phase_insensitive_distance,
                        rotated_reference)
 from .sparse_enc import encode_Ah, encode_Aminus, encode_Ar, encode_H2
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockEncoding", "Circuit", "DysonConfig", "GraphSplit", "HubSparseGraph",
     "LeafBlocks", "LinearOperator", "OracleSet", "RegisterLayout",
-    "StateVector",
     "build_P_pm", "build_dressed_H2", "build_expG", "build_oracle_set",
     "build_selectG", "classical_expG_apply",
     "default_config", "dense_expm", "derive_OK_by_query", "derive_OZ_by_query",

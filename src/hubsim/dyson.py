@@ -444,8 +444,7 @@ def _build_segment_circuit(graph, config, dressed):
         def fn(idx):
             bank_val = idx >> 1
             return np.where(bank_val == 0, idx, idx ^ 1)
-        return FunctionalPermutation(bank_w + 1, fn, label="bank_flag",
-                                     self_inverse=True)
+        return FunctionalPermutation(bank_w + 1, fn, label="bank_flag")
 
     def order_gate():
         mask = (1 << log_d) - 1
@@ -454,8 +453,7 @@ def _build_segment_circuit(graph, config, dressed):
             a = idx >> (log_d + 1)
             b = (idx >> 1) & mask
             return np.where(a > b, idx ^ 1, idx)
-        return FunctionalPermutation(2 * log_d + 1, fn, label="order_test",
-                                     self_inverse=True)
+        return FunctionalPermutation(2 * log_d + 1, fn, label="order_test")
 
     for j in range(1, big_k + 1):
         for k_val in range(j, big_k + 1):

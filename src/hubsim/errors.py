@@ -18,7 +18,7 @@ class GraphStructureError(HubsimError, ValueError):
 
 
 class RegisterError(HubsimError, ValueError):
-    """Register binding or width mismatch."""
+    """Register placement or width mismatch."""
 
 
 class ResourceError(HubsimError, RuntimeError):

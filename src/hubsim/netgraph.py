@@ -382,6 +382,8 @@ def from_json_dict(data: dict) -> HubSparseGraph:
         m, h, s = int(params["M"]), int(params["h"]), int(params["s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphStructureError(f"malformed graph document: {exc}") from exc
+    if len(hubs) != m:
+        raise GraphStructureError(f"hub list {hubs} must have M={m} entries")
     if any(not (0 <= u < n) for u in hubs):
         raise GraphStructureError(f"hub index out of range in {hubs}")
     if len(set(hubs)) != len(hubs):

@@ -14,8 +14,11 @@ registers, with optional per-step controls (any qubit, either polarity).
 Applying an operator streams over the amplitude array one primitive at a
 time, so the cost is a handful of full-array passes per primitive.
 
-Operators are immutable once built and safe for concurrent reads; a
-StateVector is never mutated in place by `apply`.
+The one entry point is `LinearOperator.apply_to_array`, which runs an
+operator on a batch of amplitude columns over its full width;
+`extract_block` reaches it to read an encoded block column by column.
+Operators are immutable once built and safe for concurrent reads; the
+input array is never modified.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class RegisterLayout:
             self._offsets[r.name] = pos
             pos += r.width
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.registers)
-
     def reg_width(self, name: str) -> int:
         for r in self.registers:
             if r.name == name:
@@ -110,47 +110,6 @@ class RegisterLayout:
         return f"RegisterLayout({body})"
 
 
-class StateVector:
-    """Complex amplitudes over a register layout.
-
-    Unit norm within 1e-12 is enforced unless ``normalized=False`` marks an
-    intermediate (for example a post-selected branch).
-    """
-
-    def __init__(self, layout: RegisterLayout, amps: np.ndarray | None = None,
-                 *, normalized: bool = True):
-        self.layout = layout
-        dim = 2 ** layout.width
-        if amps is None:
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[0] = 1.0
-        amps = np.asarray(amps, dtype=np.complex128).reshape(dim)
-        if normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ParameterError("state vector is not normalized within 1e-12")
-        self.amps = amps
-        self.normalized = normalized
-
-    @classmethod
-    def basis(cls, layout: RegisterLayout, values: dict[str, int] | int = 0):
-        idx = values if isinstance(values, int) else layout.basis_index(values)
-        amps = np.zeros(2 ** layout.width, dtype=np.complex128)
-        amps[idx] = 1.0
-        return cls(layout, amps)
-
-    @classmethod
-    def random(cls, layout: RegisterLayout, seed: int = 0):
-        rng = np.random.default_rng(seed)
-        dim = 2 ** layout.width
-        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        return cls(layout, amps / np.linalg.norm(amps))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy(), normalized=self.normalized)
-
-
 # -- primitives --------------------------------------------------------------
 
 
@@ -164,57 +123,9 @@ class LinearOperator:
 
     width: int = 0
     label: str = "op"
-    unitary: bool = True
 
     def _instructions(self, qmap, controls, adjoint):
         raise NotImplementedError
-
-    # registered-name footprint; primitives have none
-    def footprint_names(self) -> tuple[str, ...]:
-        return ()
-
-    def _resolve_qubits(self, state: StateVector, binding, qubits):
-        if qubits is not None:
-            qubits = tuple(int(q) for q in qubits)
-        elif binding is not None or self.footprint_names():
-            binding = binding or {}
-            qubits = []
-            for reg in self.footprint_names():
-                target = binding.get(reg, reg)
-                tw = state.layout.reg_width(target)
-                ow = self.footprint_width(reg)
-                if tw != ow:
-                    raise RegisterError(
-                        f"register {reg!r} (width {ow}) cannot bind to "
-                        f"{target!r} (width {tw})")
-                qubits.extend(state.layout.axes(target))
-            qubits = tuple(qubits)
-        else:
-            if self.width != state.layout.width:
-                raise RegisterError(
-                    f"operator width {self.width} != state width "
-                    f"{state.layout.width}; give qubits or a binding")
-            qubits = tuple(range(self.width))
-        if len(qubits) != self.width:
-            raise RegisterError(
-                f"operator {self.label!r} needs {self.width} qubits, got {len(qubits)}")
-        return qubits
-
-    def footprint_width(self, name: str) -> int:
-        raise RegisterError(f"operator {self.label!r} has no register {name!r}")
-
-    def apply(self, state: StateVector, *, binding=None, qubits=None,
-              controls=(), adjoint: bool = False) -> StateVector:
-        """Return the transformed state; identity outside the bound qubits.
-
-        ``controls`` entries are (register_name, value) pairs on the state
-        layout, or explicit (qubit_index, bit) pairs.
-        """
-        qubits = self._resolve_qubits(state, binding, qubits)
-        ctrl = _expand_controls(state.layout, controls)
-        arr = state.amps.reshape(-1, 1)
-        out = _run(arr, state.layout.width, self._instructions(qubits, ctrl, adjoint))
-        return StateVector(state.layout, out[:, 0], normalized=state.normalized)
 
     def apply_to_array(self, arr: np.ndarray, width: int, *,
                        adjoint: bool = False) -> np.ndarray:
@@ -281,7 +192,7 @@ class DenseGate(Operation):
 
 
 class PermutationGate(Operation):
-    """Classical reversible map |k> -> |perm[k]> over the footprint."""
+    """Classical reversible map |k> -> |perm[k]> over its qubits."""
 
     def __init__(self, perm: np.ndarray, label: str = "perm"):
         perm = np.asarray(perm, dtype=np.int64)
@@ -300,31 +211,22 @@ class PermutationGate(Operation):
 
 
 class FunctionalPermutation(Operation):
-    """Permutation given by a vectorized index map (no stored table).
+    """Involutive permutation given by a vectorized index map (no stored
+    table): ``fn(fn(i)) == i`` for every basis index i, so the map is its
+    own adjoint.
 
     Used for wide structural maps such as register swaps and comparators,
     where a table would be impractical.
     """
 
-    def __init__(self, width: int, fn, label: str = "fperm", inverse_fn=None,
-                 self_inverse: bool = False):
+    def __init__(self, width: int, fn, label: str = "fperm"):
         super().__init__(width, label)
         self.fn = fn
-        self.inverse_fn = fn if self_inverse else inverse_fn
 
     def act(self, block, adjoint):
         idx = np.arange(block.shape[0], dtype=np.int64)
-        if adjoint:
-            if self.inverse_fn is None:
-                raise ParameterError(f"{self.label}: no inverse map")
-            target = np.asarray(self.inverse_fn(idx), dtype=np.int64)
-            out = np.empty_like(block)
-            out[target] = block
-            return out
-        mapped = np.asarray(self.fn(idx), dtype=np.int64)
-        out = np.empty_like(block)
-        out[mapped] = block
-        return out
+        # out[fn(k)] = in[k]  <=>  out = in[fn]  for an involution
+        return block[np.asarray(self.fn(idx), dtype=np.int64)]
 
 
 class GlobalPhase(Operation):
@@ -345,7 +247,7 @@ def register_swap(k: int) -> FunctionalPermutation:
     def fn(idx):
         return ((idx & mask) << k) | (idx >> k)
 
-    return FunctionalPermutation(2 * k, fn, label=f"swap{k}", self_inverse=True)
+    return FunctionalPermutation(2 * k, fn, label=f"swap{k}")
 
 
 _H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -407,12 +309,6 @@ class Circuit(LinearOperator):
         self.label = label
         self.steps: list[_Step] = []
 
-    def footprint_names(self):
-        return self.layout.names()
-
-    def footprint_width(self, name):
-        return self.layout.reg_width(name)
-
     def _spec_to_qubits(self, spec) -> list[int]:
         if isinstance(spec, str):
             return list(self.layout.axes(spec))
@@ -471,14 +367,13 @@ class LazyCircuit(LinearOperator):
                 raise ResourceError(
                     f"stage {self.stage!r} needs {self.width} qubits, cap is {cap}",
                     stage=self.stage)
-            self._built = self._builder()
+            built = self._builder()
+            if built.width != self.width:
+                raise RegisterError(
+                    f"stage {self.stage!r} declared {self.width} qubits, "
+                    f"its circuit spans {built.width}")
+            self._built = built
         return self._built
-
-    def footprint_names(self):
-        return self.materialize().footprint_names()
-
-    def footprint_width(self, name):
-        return self.materialize().footprint_width(name)
 
     def _instructions(self, qmap, controls, adjoint):
         return self.materialize()._instructions(qmap, controls, adjoint)
@@ -519,37 +414,32 @@ def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
     return np.moveaxis(work, range(len(front)), front)
 
 
-def extract_block(op: LinearOperator, n_sys: int,
-                  max_sys: int = DEFAULT_EXTRACT_SYSTEM_CAP,
-                  projector_value: int = 0) -> np.ndarray:
-    """Dense block <v_anc, i| op |v_anc, j> on the trailing system register.
+def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
+    """Dense block <0_anc, i| op |0_anc, j> on the trailing system register.
 
     Ancillas are the leading (most significant) ``op.width - n_sys`` qubits,
-    prepared in and projected back onto ``projector_value`` (all-zero by
-    default).
+    prepared in and projected back onto all-zero.  Both caps are checked
+    before the operator is built or any array is allocated.
     """
-    if n_sys > max_sys:
+    if n_sys > DEFAULT_EXTRACT_SYSTEM_CAP:
         raise ResourceError(
-            f"system width {n_sys} exceeds dense-extraction cap {max_sys}",
-            stage="extract_block")
+            f"system width {n_sys} exceeds dense-extraction cap "
+            f"{DEFAULT_EXTRACT_SYSTEM_CAP}", stage="extract_block")
     width = op.width
     if width > qubit_cap():
         raise ResourceError(
             f"operator width {width} exceeds qubit cap {qubit_cap()}",
             stage="extract_block")
     dim = 2 ** n_sys
-    base = projector_value * dim
-    if not (0 <= projector_value < 2 ** (width - n_sys)):
-        raise RegisterError(f"projector value {projector_value} too wide")
     block = np.empty((dim, dim), dtype=np.complex128)
     # chunk columns to bound peak memory at ~64 MB
     chunk = max(1, min(dim, (1 << 22) // (1 << width) or 1))
     for lo in range(0, dim, chunk):
         hi = min(dim, lo + chunk)
         arr = np.zeros((2 ** width, hi - lo), dtype=np.complex128)
-        arr[np.arange(base + lo, base + hi), np.arange(hi - lo)] = 1.0
+        arr[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
         out = op.apply_to_array(arr, width)
-        block[:, lo:hi] = out[base:base + dim]
+        block[:, lo:hi] = out[:dim]
     return block
 
 

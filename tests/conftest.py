@@ -37,6 +37,29 @@ def dg8_dense(dg8):
     }
 
 
+def basis_state(layout, values=0):
+    """Amplitudes of one basis state, given as a flat index or as register
+    values."""
+    idx = values if isinstance(values, int) else layout.basis_index(values)
+    amps = np.zeros(2 ** layout.width, dtype=np.complex128)
+    amps[idx] = 1.0
+    return amps
+
+
+def random_state(layout, seed=0):
+    """Normalized complex Gaussian amplitudes drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** layout.width
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return amps / np.linalg.norm(amps)
+
+
+def run(op, amps, adjoint=False):
+    """Apply an operator over its full width to one amplitude vector."""
+    return op.apply_to_array(amps.reshape(-1, 1), op.width,
+                             adjoint=adjoint)[:, 0]
+
+
 def random_graph_params():
     """Feasible parameter tuples used across randomized tests."""
     return [

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from conftest import run
 
 from hubsim import blockenc
 from hubsim.blockenc import (BlockEncoding, fixed_point_aa, identity_encoding,
                              lcu, product, unitary_encoding, verify,
                              zero_encoding)
 from hubsim.errors import EncodingError, ParameterError, RegisterError
-from hubsim.qstate import (DenseGate, RegisterLayout, StateVector,
-                           extract_block, random_unitary, spectral_norm,
-                           x_gate)
+from hubsim.qstate import (DenseGate, RegisterLayout, extract_block,
+                           random_unitary, spectral_norm, x_gate)
 
 
 def dilated_encoding(matrix: np.ndarray, alpha: float, seed_label="dilated"):
@@ -172,9 +172,8 @@ def test_aa_success_amplitude_on_random_states():
         sys_state /= np.linalg.norm(sys_state)
         amps = np.zeros(2 ** layout.width, dtype=np.complex128)
         amps[:4] = sys_state
-        state = StateVector(layout, amps)
-        out = amp.unitary.apply(state, qubits=range(layout.width))
-        good = np.linalg.norm(out.amps[:4])
+        out = run(amp.unitary, amps)
+        good = np.linalg.norm(out[:4])
         assert good >= 1.0 - eps
 
 

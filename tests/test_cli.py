@@ -68,7 +68,7 @@ def test_spectrum_hub_free_exits_2(tmp_path):
 def test_bad_hub_list_exits_2(tmp_path):
     doc = netgraph.to_json_dict(netgraph.dg8())
     path = tmp_path / "bad_hubs.json"
-    for hubs in ([6, 9], [6, 6]):
+    for hubs in ([6, 9], [6, 6], [6], [5, 6, 7]):
         path.write_text(json.dumps({**doc, "hubs": hubs}))
         assert run_cli("validate", str(path)) == 2
         assert run_cli("spectrum", str(path)) == 2

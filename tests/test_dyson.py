@@ -14,7 +14,7 @@ from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
-from hubsim.qstate import RegisterLayout, StateVector, extract_block, spectral_norm
+from hubsim.qstate import extract_block, spectral_norm
 
 
 def exact_segment_propagator(graph, tau):
@@ -128,10 +128,19 @@ def test_dressed_blocks_unitarily_similar(dg8):
         assert np.max(np.abs(evals - base)) < 1e-9
 
 
-def test_dressed_register_bookkeeping(dg8):
+def test_dressed_register_bookkeeping(dg8, monkeypatch):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-6)
     assert dr.alpha == 8.0
     assert dr.m == 16 + (3 + 6)  # two cascade banks + residual ancillas
+    # the circuit: cascade on cga, residual on h2bank, cascade^dag on cgb
+    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
+    circ = dr.unitary.materialize()
+    assert circ.width == dr.m + dr.n_sys == 30
+    assert [s.op.label for s in circ.steps] == ["select_g", "lcu", "select_g"]
+    assert [s.adjoint for s in circ.steps] == [False, False, True]
+    for step, bank in zip(circ.steps, ("cga", "h2bank", "cgb")):
+        axes = circ.layout.axes(bank)
+        assert step.qubits[:len(axes)] == axes
 
 
 def test_segment_order_zero_is_identity(dg8):
@@ -294,9 +303,8 @@ def test_segment_unitary_is_resource_guarded(dg8):
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
     assert seg.unitary.width == seg.m + 3
-    layout = RegisterLayout(("sys", 3))
     with pytest.raises(ResourceError) as err:
-        seg.unitary.apply(StateVector.basis(layout), qubits=range(seg.unitary.width))
+        seg.unitary.materialize()
     assert "dyson_segment" in str(err.value)
 
 
@@ -310,6 +318,21 @@ def test_segment_circuit_constructs_under_raised_cap(dg8, monkeypatch):
     circ = seg.unitary.materialize()
     assert circ.width == seg.m + 3
     assert len(circ.steps) > 4
+
+
+def test_segment_index_maps_are_involutions(dg8, monkeypatch):
+    # FunctionalPermutation is its own adjoint only for an involution
+    cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
+    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
+    maps = {s.op.label: s.op for s in seg.unitary.materialize().steps
+            if s.op.label in ("bank_flag", "order_test")}
+    assert maps["bank_flag"].width == 26
+    rng = np.random.default_rng(0)
+    for op in maps.values():
+        idx = rng.integers(0, 2 ** op.width, size=4096, dtype=np.int64)
+        assert np.array_equal(op.fn(op.fn(idx)), idx)
 
 
 @pytest.mark.parametrize("big_k", [0, 1, 3])
@@ -514,6 +537,11 @@ def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):
     assert {"dyson.simulate_full", "dyson.dyson_segment",
             "dyson.build_selectG", "ffhub.build_expG",
             "sparse_enc.encode_H2"} <= traced
+
+
+def test_export_list_resolves():
+    assert len(set(hubsim.__all__)) == len(hubsim.__all__)
+    assert [name for name in hubsim.__all__ if not hasattr(hubsim, name)] == []
 
 
 def test_simulate_report_contents(dg8):

@@ -180,7 +180,7 @@ def test_json_rejects_bad_edges():
         netgraph.from_json_dict({**base, "edges": [[0, 9]]})
     with pytest.raises(GraphStructureError):
         netgraph.from_json_dict({"nodes": 8, "edges": []})
-    for hubs in ([6, 9], [-1, 6], [6, 6]):
+    for hubs in ([6, 9], [-1, 6], [6, 6], [6], [5, 6, 7]):
         with pytest.raises(GraphStructureError):
             netgraph.from_json_dict({**base, "hubs": hubs, "edges": []})
 

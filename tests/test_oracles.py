@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import basis_state, run
 
 from hubsim import netgraph
 from hubsim.errors import OracleContractError
 from hubsim.oracles import (build_oracle_set, derive_OK_by_query,
                             derive_OZ_by_query)
-from hubsim.qstate import RegisterLayout, StateVector
+from hubsim.qstate import RegisterLayout
 
 
 def test_oa_reads_edge(dg8_oracles):
@@ -31,10 +32,10 @@ def test_oa_self_inverse(dg8, dg8_oracles):
     rng = np.random.default_rng(0)
     for _ in range(10):
         k = int(rng.integers(0, 128))
-        state = StateVector.basis(layout, k)
-        once = dg8_oracles.o_a.apply(state, qubits=range(7))
-        twice = dg8_oracles.o_a.apply(once, qubits=range(7))
-        assert twice.amps[k] == 1.0
+        state = basis_state(layout, k)
+        once = run(dg8_oracles.o_a, state)
+        twice = run(dg8_oracles.o_a, once)
+        assert twice[k] == 1.0
 
 
 def test_all_oracles_map_basis_to_basis(dg8_oracles):
@@ -42,11 +43,10 @@ def test_all_oracles_map_basis_to_basis(dg8_oracles):
         dim = 2 ** gate.width
         layout = RegisterLayout(("r", gate.width))
         for k in np.random.default_rng(1).integers(0, dim, size=8):
-            out = gate.apply(StateVector.basis(layout, int(k)),
-                             qubits=range(gate.width))
-            nonzero = np.nonzero(out.amps)[0]
+            out = run(gate, basis_state(layout, int(k)))
+            nonzero = np.nonzero(out)[0]
             assert len(nonzero) == 1
-            assert abs(out.amps[nonzero[0]]) == 1.0
+            assert abs(out[nonzero[0]]) == 1.0
 
 
 def test_beyond_degree_positions_are_zeros(dg8):
@@ -147,7 +147,7 @@ def test_counters_are_per_context(dg8):
     first = build_oracle_set(dg8)
     second = build_oracle_set(dg8)
     layout = RegisterLayout(("r", 7))
-    first.o_a.apply(StateVector.basis(layout, 3), qubits=range(7))
+    run(first.o_a, basis_state(layout, 3))
     assert first.counter.counts["O_A"] == 1
     assert second.counter.counts["O_A"] == 0
 
@@ -159,7 +159,7 @@ def test_counter_counts_adjoint_and_controlled(dg8, dg8_oracles):
     circ.append(dg8_oracles.o_a, on=["r"], controls=[("c", 1)])
     circ.append(dg8_oracles.o_a, on=["r"], adjoint=True)
     dg8_oracles.counter.reset()
-    circ.apply(StateVector.basis(layout, 0))
+    run(circ, basis_state(layout, 0))
     assert dg8_oracles.counter.counts["O_A"] == 2
 
 

@@ -5,9 +5,9 @@ from hubsim import netgraph, sparse_enc
 from hubsim.blockenc import verify
 from hubsim.errors import EncodingError
 from hubsim.oracles import build_oracle_set
-from hubsim.qstate import RegisterLayout, StateVector, spectral_norm
+from hubsim.qstate import RegisterLayout, spectral_norm
 
-from conftest import random_graph_params
+from conftest import basis_state, random_graph_params, run
 
 
 def test_ah_dg8_exact(dg8, dg8_split, dg8_oracles):
@@ -155,7 +155,7 @@ def test_oracle_queries_per_application(dg8, dg8_oracles):
     # live counter agrees when a circuit is applied once
     layout = RegisterLayout(("anc", be_h.m), ("sys", 3))
     dg8_oracles.counter.reset()
-    be_h.unitary.apply(StateVector.basis(layout), qubits=range(layout.width))
+    run(be_h.unitary, basis_state(layout))
     assert dg8_oracles.counter.snapshot() == {
         "O_A": 2, "O_L": 0, "O_H": 2, "O_K": 2, "O_Z": 0}
 
