@@ -181,7 +181,7 @@ def lcu(coeffs, bes) -> BlockEncoding:
 
     regs = ([("idx", idx_width)] if idx_width else []) \
         + ([("bank", bank)] if bank else []) + [("sys", n)]
-    layout = RegisterLayout(*regs, stage="lcu")
+    layout = RegisterLayout(*regs)
     circ = Circuit(layout, label="lcu")
     idx_qubits = list(layout.axes("idx")) if idx_width else []
     bank_qubits = list(layout.axes("bank")) if bank else []
@@ -223,7 +223,7 @@ def product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
     if be2.m:
         regs.append(("anc2", be2.m))
     regs.append(("sys", n))
-    layout = RegisterLayout(*regs, stage="product")
+    layout = RegisterLayout(*regs)
     circ = Circuit(layout, label="product")
     sys_qubits = list(layout.axes("sys"))
     if be2.m:
@@ -280,9 +280,22 @@ def _model_scalar(pairs, x: float) -> complex:
     return complex(mat[0, 0])
 
 
-def amplification_degree(delta: float, eps: float) -> int:
-    """Smallest odd L whose amplification band [delta, 1] reaches error eps."""
-    eps = min(max(eps, 1e-15), 0.5)
+# Smallest eps the degree search can reach: over alpha in [0.95, 100] the
+# double-precision model scalar gets within 0.9 eps of 1 for every
+# eps >= 1e-14, and for some alpha never at eps <= 5e-15.
+EPS_FLOOR = 1e-13
+
+
+def amplification_degree(alpha: float, eps: float) -> int:
+    """Smallest odd L whose band [0.9/alpha, 1] reaches error eps.  Raises
+    ``ParameterError`` for alpha <= 0.9 (an empty band) and for an eps that
+    is not finite or lies below ``EPS_FLOOR``."""
+    if not (math.isfinite(eps) and eps >= EPS_FLOOR):
+        raise ParameterError(f"eps={eps} is not finite or below {EPS_FLOOR}")
+    if not alpha > 0.9:
+        raise ParameterError(f"alpha={alpha:.6g} <= 0.9: empty band")
+    delta = 0.9 / alpha
+    eps = min(eps, 0.5)
     band = math.acosh(1.0 / math.sqrt(max(1e-300, 1.0 - delta * delta)))
     big_l = max(3, math.ceil(math.acosh(1.0 / eps) / band))
     if big_l % 2 == 0:
@@ -290,25 +303,19 @@ def amplification_degree(delta: float, eps: float) -> int:
     return big_l
 
 
-def fixed_point_aa(be: BlockEncoding, delta: float, eps: float) -> BlockEncoding:
+def fixed_point_aa(be: BlockEncoding, eps: float) -> BlockEncoding:
     """Amplify an encoding of a (near-)unitary to a (1, m+1, .)-encoding.
 
     The sequence alternates the encoding unitary with projector-controlled
     phases on the ancilla-zero subspace (realized through one extra flag
     qubit), with the phase schedule chosen so every singular value in
-    [delta, 1] is driven to magnitude >= 1 - eps; a final global phase
+    [0.9/alpha, 1] is driven to magnitude >= 1 - eps; a final global phase
     cancels the sequence's residual phase at the working point 1/alpha.
+    Raises ``ParameterError`` as ``amplification_degree`` does.
     """
-    if not (0.0 < delta < 1.0):
-        raise ParameterError(f"delta={delta} outside ]0, 1[")
-    if delta > 1.0 / be.alpha + 1e-12:
-        raise ParameterError(
-            f"delta={delta:.6g} exceeds the block amplitude 1/alpha="
-            f"{1.0 / be.alpha:.6g}")
+    big_l = amplification_degree(be.alpha, eps)
     a = 1.0 / be.alpha
-
-    resid = min(max(eps, 1e-15), 0.5)
-    big_l = amplification_degree(delta, eps)
+    resid = min(eps, 0.5)
     pairs = _phase_pairs(big_l, resid)
     scalar = _model_scalar(pairs, a)
     while abs(scalar) < 1.0 - 0.9 * eps:
@@ -323,7 +330,7 @@ def fixed_point_aa(be: BlockEncoding, delta: float, eps: float) -> BlockEncoding
 
     def build_circuit():
         regs = [("aaflag", 1)] + ([("bank", m)] if m else []) + [("sys", n)]
-        layout = RegisterLayout(*regs, stage="fixed_point_aa")
+        layout = RegisterLayout(*regs)
         circ = Circuit(layout, label="amplified")
         bank_sys = (list(layout.axes("bank")) if m else []) \
             + list(layout.axes("sys"))
@@ -345,8 +352,7 @@ def fixed_point_aa(be: BlockEncoding, delta: float, eps: float) -> BlockEncoding
         circ.append(GlobalPhase(correction), qubits=[])
         return circ
 
-    circ = LazyCircuit(1 + m + n, build_circuit, label="amplified",
-                       stage="fixed_point_aa")
+    circ = LazyCircuit(1 + m + n, build_circuit, label="amplified")
 
     def block_fn():
         u_svd, sig, vh_svd = np.linalg.svd(be.block())

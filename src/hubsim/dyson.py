@@ -47,14 +47,13 @@ import numpy as np
 from .blockenc import (BlockEncoding, amplification_degree, fixed_point_aa,
                        unitary_with_first_column)
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
-                     ParameterError, ResourceError)
+                     ParameterError)
 from .ffhub import (build_expG, classical_expG_apply, expG_bundle,
                     hub_block_factor, link_norm)
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
-from .qstate import (DEFAULT_EXTRACT_SYSTEM_CAP, Circuit, DenseGate,
-                     FunctionalPermutation, LazyCircuit, RegisterLayout,
-                     hadamard_layer)
+from .qstate import (Circuit, DenseGate, FunctionalPermutation, LazyCircuit,
+                     RegisterLayout, check_dense_block, hadamard_layer)
 from .sparse_enc import encode_H2
 
 
@@ -82,14 +81,12 @@ def _next_pow2(x: int) -> int:
 @dataclass(frozen=True)
 class DysonConfig:
     """Segment parameters: length tau, grid size D, truncation order K, and
-    the overall error budget (eps_total for evolution time t_total; a
-    standalone segment uses eps_total directly)."""
+    the error budget of one segment."""
 
     tau: float
     big_d: int
     big_k: int
-    eps_total: float
-    t_total: float | None = None
+    eps_segment: float
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -99,31 +96,27 @@ class DysonConfig:
                 f"D={self.big_d} must be a power of two >= 2")
         if self.big_k < 0:
             raise ConfigurationError("K must be >= 0")
-        if not (math.isfinite(self.eps_total) and self.eps_total > 0):
-            raise ConfigurationError("eps_total must be finite and positive")
-        if self.t_total is not None and not math.isfinite(self.t_total):
-            raise ConfigurationError("t_total must be finite when given")
-
-    @property
-    def eps_segment(self) -> float:
-        if self.t_total is None or self.t_total <= self.tau:
-            return self.eps_total
-        return self.eps_total * self.tau / self.t_total
+        if not (math.isfinite(self.eps_segment) and self.eps_segment > 0):
+            raise ConfigurationError("eps_segment must be finite and positive")
 
 
-def default_config(graph: HubSparseGraph, t: float, eps: float,
-                   tau: float | None = None) -> DysonConfig:
-    """Parameter schedule: tau = 1/(2 alpha2); K the smallest order whose
-    tail bound clears half the per-segment budget; D from the grid bound
-    2 (alpha1 + alpha2) tau / eps_segment, rounded up to a power of two."""
+def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
+    """Segment schedule for evolving time t within eps: tau = min(t,
+    1/(2 alpha2)) with budget eps_segment = eps tau / t (eps when one
+    segment covers t); K the smallest order whose tail bound clears half
+    that budget; D the grid bound 2 (alpha1 + alpha2) tau / eps_segment,
+    rounded up to a power of two.  t must be finite and positive."""
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError(f"no segment to schedule for t={t}")
     alpha1, alpha2 = evolution_scales(graph)
-    tau = tau if tau is not None else 1.0 / (2.0 * alpha2)
+    tau = min(t, 1.0 / (2.0 * alpha2))
+    # eps itself when one segment covers t: eps * t / t can round
     eps_seg = eps * tau / t if t > tau else eps
     big_k = 1
     while truncation_bound(alpha2, tau, big_k) > eps_seg / 2.0 and big_k < 60:
         big_k += 1
     big_d = _next_pow2(math.ceil(2.0 * (alpha1 + alpha2) * tau / eps_seg))
-    return DysonConfig(tau, big_d, big_k, eps, t_total=t if t > tau else None)
+    return DysonConfig(tau, big_d, big_k, eps_seg)
 
 
 # -- leaf blocks --------------------------------------------------------------
@@ -243,12 +236,8 @@ class SelectGEncoding(BlockEncoding):
         return self._at(_grid_blocks(self.bit_blocks, d, d + 1, self._dim)[0])
 
     def _full_block(self) -> np.ndarray:
-        # refuse the dense (D 2^n)^2 block past the dense-extraction cap
-        if self.n_sys > DEFAULT_EXTRACT_SYSTEM_CAP:
-            raise ResourceError(
-                f"dense {self.stage} block over log2(D) + n = {self.n_sys} "
-                f"qubits exceeds dense-extraction cap "
-                f"{DEFAULT_EXTRACT_SYSTEM_CAP}", stage=self.stage)
+        # the dense block spans log2(D) + n system qubits
+        check_dense_block(self.n_sys, self.stage)
         dim = self._dim
         total = np.zeros((self.big_d * dim, self.big_d * dim),
                          dtype=np.complex128)
@@ -281,8 +270,7 @@ def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
                   for j in range(log_d)]
 
     def build_circuit():
-        layout = RegisterLayout(("bank", 8), ("d", log_d), ("sys", n),
-                                stage="select_g")
+        layout = RegisterLayout(("bank", 8), ("d", log_d), ("sys", n))
         circ = Circuit(layout, label="select_g")
         bank_sys = list(layout.axes("bank")) + list(layout.axes("sys"))
         d_axes = layout.axes("d")
@@ -293,8 +281,7 @@ def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
                         controls=[(ctrl_axis, 1)])
         return circ
 
-    unitary = LazyCircuit(8 + log_d + n, build_circuit, label="select_g",
-                          stage="select_g")
+    unitary = LazyCircuit(8 + log_d + n, build_circuit, label="select_g")
     return SelectGEncoding(unitary, bit_blocks, eps)
 
 
@@ -327,7 +314,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
 
     def build_circuit():
         layout = RegisterLayout(("cga", 8), ("h2bank", m_h2), ("cgb", 8),
-                                ("d", log_d), ("sys", n), stage="dressed_h2")
+                                ("d", log_d), ("sys", n))
         circ = Circuit(layout, label="dressed_h2")
         d_sys = list(layout.axes("d")) + list(layout.axes("sys"))
         circ.append(select.unitary,
@@ -339,7 +326,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
         return circ
 
     unitary = LazyCircuit(16 + m_h2 + log_d + n, build_circuit,
-                          label="dressed_h2", stage="dressed_h2")
+                          label="dressed_h2")
     return DressedResidualEncoding(unitary, select.bit_blocks, h2_block,
                                    alpha2, eps)
 
@@ -424,8 +411,7 @@ def _build_segment_circuit(graph, config, dressed):
     n = graph.n_qubits
     big_k, big_d = config.big_k, config.big_d
     log_d = int(math.log2(big_d))
-    layout = RegisterLayout(*_segment_registers(big_k, log_d, dressed.m, n),
-                            stage="dyson_segment")
+    layout = RegisterLayout(*_segment_registers(big_k, log_d, dressed.m, n))
     circ = Circuit(layout, label="dyson_segment")
     kw = layout.reg_width("kidx")
 
@@ -530,7 +516,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
                 _segment_registers(big_k, log_d, dressed.m, n)[:-1])
     unitary = LazyCircuit(
         m_seg + n, lambda: _build_segment_circuit(graph, config, dressed),
-        label="dyson_segment", stage="dyson_segment")
+        label="dyson_segment")
     be = _SegmentEncoding(unitary, lam, m_seg, n, eps=eps_seg,
                           label="dyson_segment")
     be.config = config
@@ -661,17 +647,15 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     segments = 0
 
     if graph.m_hubs:
-        l_expg = amplification_degree(
-            0.9 / (2.0 * hub_block_factor(graph) + 1.0), eps_g)
+        l_expg = amplification_degree(2.0 * hub_block_factor(graph) + 1.0,
+                                      eps_g)
     else:
         l_expg = 0
 
     def run_piece(length: float, piece_cfg: DysonConfig, count: int):
         nonlocal psi, expg_stage, expg_grid, queries, segments
-        if count == 0:
-            return
         seg_be = dyson_segment(leaves, piece_cfg)
-        amplified = fixed_point_aa(seg_be, 0.9 / seg_be.alpha, eps_aa)
+        amplified = fixed_point_aa(seg_be, eps_aa)
         g_block = leaves.exp_g_block(length, eps_g)
         log_d = int(math.log2(piece_cfg.big_d))
         l_seg = amplified.aa_degree
@@ -692,8 +676,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
 
     run_piece(tau, cfg, n_full)
     if t_frac > 0.0:
-        frac_cfg = default_config(graph, t_frac, eps_seg, tau=min(t_frac, tau))
-        run_piece(t_frac, frac_cfg, 1)
+        run_piece(t_frac, default_config(graph, t_frac, eps_seg), 1)
 
     norm_deficit = float(1.0 - np.linalg.norm(psi))
     report = RunReport(

@@ -202,7 +202,7 @@ def build_expG(oracles: OracleSet, t: float, eps: float, *,
 
     pre = lcu([1.0, -1.0, 1.0], [be_phased, bundle.plain, bundle.identity])
     pre.label = "exp_g_pre"
-    amplified = fixed_point_aa(pre, delta=0.9 / pre.alpha, eps=eps)
+    amplified = fixed_point_aa(pre, eps)
     amplified.label = f"exp_g(t={t:g})"
     amplified.pre_alpha = pre.alpha
     amplified.pre_ancillas = pre.m

@@ -32,6 +32,9 @@ from .errors import ParameterError, RegisterError, ResourceError
 
 DEFAULT_QUBIT_CAP = 26
 DEFAULT_EXTRACT_SYSTEM_CAP = 12
+_NORM_TOL = 1e-10       # spectral_norm: relative change that stops it,
+_NORM_MAX_ITER = 1000   # its step limit
+_NORM_SEED = 7          # and the seed of its start vector
 
 
 def qubit_cap() -> int:
@@ -52,9 +55,11 @@ class Register:
 
 
 class RegisterLayout:
-    """Ordered named registers; total width is checked against the cap."""
+    """Ordered named registers.  A layout allocates nothing, so its width
+    is not capped; ``extract_block`` and ``LazyCircuit.materialize`` check
+    the widths they would allocate for."""
 
-    def __init__(self, *registers: tuple[str, int], stage: str = ""):
+    def __init__(self, *registers: tuple[str, int]):
         regs = []
         seen = set()
         for name, width in registers:
@@ -66,12 +71,6 @@ class RegisterLayout:
             regs.append(Register(name, int(width)))
         self.registers = tuple(regs)
         self.width = sum(r.width for r in regs)
-        cap = qubit_cap()
-        if self.width > cap:
-            raise ResourceError(
-                f"layout needs {self.width} qubits, cap is {cap}"
-                + (f" (stage: {stage})" if stage else ""),
-                stage=stage or "layout")
         self._offsets = {}
         pos = 0
         for r in regs:
@@ -348,15 +347,13 @@ class LazyCircuit(LinearOperator):
 
     Wide compositions (for example the assembled evolution over many time
     registers) are described structurally; materializing them checks the
-    qubit cap, so impossible applications fail with a resource error while
-    bookkeeping (width, label) stays available.
+    qubit cap, since a description can hold dense gates over many qubits,
+    and fails with a resource error named by ``label``.
     """
 
-    def __init__(self, width: int, builder, label: str = "lazy",
-                 stage: str = ""):
+    def __init__(self, width: int, builder, label: str = "lazy"):
         self.width = width
         self.label = label
-        self.stage = stage or label
         self._builder = builder
         self._built: LinearOperator | None = None
 
@@ -365,12 +362,12 @@ class LazyCircuit(LinearOperator):
             cap = qubit_cap()
             if self.width > cap:
                 raise ResourceError(
-                    f"stage {self.stage!r} needs {self.width} qubits, cap is {cap}",
-                    stage=self.stage)
+                    f"stage {self.label!r} needs {self.width} qubits, cap is {cap}",
+                    stage=self.label)
             built = self._builder()
             if built.width != self.width:
                 raise RegisterError(
-                    f"stage {self.stage!r} declared {self.width} qubits, "
+                    f"stage {self.label!r} declared {self.width} qubits, "
                     f"its circuit spans {built.width}")
             self._built = built
         return self._built
@@ -414,6 +411,15 @@ def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
     return np.moveaxis(work, range(len(front)), front)
 
 
+def check_dense_block(n_sys: int, stage: str) -> None:
+    """Raise ``ResourceError`` (naming ``stage``) before a dense block over
+    more than DEFAULT_EXTRACT_SYSTEM_CAP system qubits is allocated."""
+    if n_sys > DEFAULT_EXTRACT_SYSTEM_CAP:
+        raise ResourceError(
+            f"dense {stage} block over {n_sys} system qubits exceeds "
+            f"dense-extraction cap {DEFAULT_EXTRACT_SYSTEM_CAP}", stage=stage)
+
+
 def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
     """Dense block <0_anc, i| op |0_anc, j> on the trailing system register.
 
@@ -421,10 +427,7 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
     prepared in and projected back onto all-zero.  Both caps are checked
     before the operator is built or any array is allocated.
     """
-    if n_sys > DEFAULT_EXTRACT_SYSTEM_CAP:
-        raise ResourceError(
-            f"system width {n_sys} exceeds dense-extraction cap "
-            f"{DEFAULT_EXTRACT_SYSTEM_CAP}", stage="extract_block")
+    check_dense_block(n_sys, "extract_block")
     width = op.width
     if width > qubit_cap():
         raise ResourceError(
@@ -432,7 +435,8 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
             stage="extract_block")
     dim = 2 ** n_sys
     block = np.empty((dim, dim), dtype=np.complex128)
-    # chunk columns to bound peak memory at ~64 MB
+    # batches of at most 2^22 amplitudes (64 MiB); above width 22 one
+    # column alone takes 2^width x 16 B, 1 GiB at the default cap of 26
     chunk = max(1, min(dim, (1 << 22) // (1 << width) or 1))
     for lo in range(0, dim, chunk):
         hi = min(dim, lo + chunk)
@@ -443,24 +447,23 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
     return block
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-10,
-                  max_iter: int = 1000, seed: int = 7) -> float:
+def spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value by power iteration on B^dag B."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.size == 0:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_NORM_SEED)
     v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
     v /= np.linalg.norm(v)
     prev = 0.0
     sigma2 = 0.0
-    for _ in range(max_iter):
+    for _ in range(_NORM_MAX_ITER):
         w = mat.conj().T @ (mat @ v)
         sigma2 = float(np.linalg.norm(w))
         if sigma2 == 0.0:
             return 0.0
         v = w / sigma2
-        if abs(sigma2 - prev) <= tol * max(1.0, sigma2):
+        if abs(sigma2 - prev) <= _NORM_TOL * max(1.0, sigma2):
             break
         prev = sigma2
     return float(np.sqrt(sigma2))

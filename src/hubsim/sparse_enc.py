@@ -33,8 +33,8 @@ def _valid_graph(oracles: OracleSet) -> HubSparseGraph:
     return oracles.graph
 
 
-def _sparse_row(oracles: OracleSet, stage: str, label: str, width: int,
-                index, index_on: list[str], flags, fold) -> BlockEncoding:
+def _sparse_row(oracles: OracleSet, label: str, width: int, index,
+                index_on: list[str], flags, fold) -> BlockEncoding:
     """(width, n + 2 + len(flags))-encoding of one sparse piece.
 
     ``index`` spreads the index register over ``index_on``.  ``flags``
@@ -44,7 +44,7 @@ def _sparse_row(oracles: OracleSet, stage: str, label: str, width: int,
     """
     n = oracles.graph.n_qubits
     layout = RegisterLayout(("t", 1), *((flag, 1) for flag, _ in flags),
-                            ("a", 1), ("work", n), ("sys", n), stage=stage)
+                            ("a", 1), ("work", n), ("sys", n))
     circ = Circuit(layout, label=label)
     log_w = int(np.log2(width))
     tests = [(oracles.o_a, ["work", "sys", "a"])]
@@ -71,7 +71,7 @@ def encode_Ah(oracles: OracleSet) -> BlockEncoding:
     graph = _valid_graph(oracles)
     if graph.m_hubs == 0:
         return zero_encoding(graph.n_qubits, label="a_hub_empty")
-    return _sparse_row(oracles, "encode_Ah", "a_hub", graph.m_hubs,
+    return _sparse_row(oracles, "a_hub", graph.m_hubs,
                        oracles.o_h, ["work"], [("k", "sys")],
                        [("t", [("k", 1), ("a", 1)])])
 
@@ -79,7 +79,7 @@ def encode_Ah(oracles: OracleSet) -> BlockEncoding:
 def encode_Ar(oracles: OracleSet) -> BlockEncoding:
     """(s, n+4)-encoding of the regular-regular link matrix."""
     graph = _valid_graph(oracles)
-    return _sparse_row(oracles, "encode_Ar", "a_reg", graph.s_param,
+    return _sparse_row(oracles, "a_reg", graph.s_param,
                        oracles.o_l, ["sys", "work"],
                        [("kr", "work"), ("kc", "sys")],
                        [("t", [("kr", 0), ("kc", 0), ("a", 1)])])
@@ -104,7 +104,7 @@ def encode_Aminus(oracles: OracleSet) -> BlockEncoding:
                 f"regular node {v} misses {miss} hubs > h={h}; the index "
                 "superposition cannot reach all of its missing links")
     kx_from_kc = ("kx", [("kc", 1)])
-    return _sparse_row(oracles, "encode_Aminus", "a_minus", h,
+    return _sparse_row(oracles, "a_minus", h,
                        oracles.o_z, ["sys", "work"],
                        [("kx", "work"), ("kc", "sys")],
                        [kx_from_kc, ("t", [("kx", 1), ("a", 0)]), kx_from_kc])

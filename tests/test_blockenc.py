@@ -146,7 +146,7 @@ def test_aa_contract_and_accuracy():
     target = random_unitary(4, seed=13)
     be = dilated_encoding(target, 2.5)
     for eps in (1e-4, 1e-6):
-        amp = fixed_point_aa(be, delta=0.9 / be.alpha, eps=eps)
+        amp = fixed_point_aa(be, eps)
         assert amp.alpha == 1.0
         assert amp.m == be.m + 1
         assert spectral_norm(amp.block() - target) <= eps
@@ -155,7 +155,7 @@ def test_aa_contract_and_accuracy():
 def test_aa_circuit_matches_algebraic_block():
     target = random_unitary(4, seed=14)
     be = dilated_encoding(target, 1.8)
-    amp = fixed_point_aa(be, delta=0.9 / be.alpha, eps=1e-5)
+    amp = fixed_point_aa(be, 1e-5)
     circ_block = extract_block(amp.unitary, 2)
     assert np.max(np.abs(circ_block - amp.block())) < 1e-10
 
@@ -164,7 +164,7 @@ def test_aa_success_amplitude_on_random_states():
     target = random_unitary(4, seed=15)
     be = dilated_encoding(target, 2.0)
     eps = 1e-5
-    amp = fixed_point_aa(be, delta=0.45, eps=eps)
+    amp = fixed_point_aa(be, eps)
     layout = RegisterLayout(("anc", amp.m), ("sys", 2))
     for seed in range(3):
         sys_state = np.random.default_rng(seed).normal(size=4) \
@@ -182,7 +182,7 @@ def test_aa_degree_grows_logarithmically():
     be = dilated_encoding(target, 2.5)
     degrees = []
     for eps in (1e-2, 1e-4, 1e-6):
-        amp = fixed_point_aa(be, delta=0.9 / be.alpha, eps=eps)
+        amp = fixed_point_aa(be, eps)
         degrees.append(amp.aa_degree)
     assert degrees[0] < degrees[1] < degrees[2]
     # increments per 100x of accuracy stay roughly constant
@@ -191,19 +191,32 @@ def test_aa_degree_grows_logarithmically():
     assert abs(inc1 - inc2) <= max(4, 0.35 * max(inc1, inc2))
 
 
-def test_aa_delta_validation():
+def test_aa_alpha_validation():
+    # the band [0.9/alpha, 1] is empty for alpha <= 0.9
+    u = random_unitary(2, seed=17)
+    for alpha in (0.9, 0.5):
+        be = BlockEncoding(DenseGate(u), alpha, 0, 1)
+        with pytest.raises(ParameterError):
+            fixed_point_aa(be, 1e-3)
+        with pytest.raises(ParameterError):
+            blockenc.amplification_degree(alpha, 1e-3)
+
+
+def test_aa_eps_validation():
+    # an unreachable eps raises before any degree search
     be = dilated_encoding(random_unitary(2, seed=17), 2.0)
-    with pytest.raises(ParameterError):
-        fixed_point_aa(be, delta=0.0, eps=1e-3)
-    with pytest.raises(ParameterError):
-        fixed_point_aa(be, delta=0.9, eps=1e-3)  # above 1/alpha
+    for eps in (0.0, -1.0, 1e-15, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            fixed_point_aa(be, eps)
+    amp = fixed_point_aa(be, blockenc.EPS_FLOOR)
+    assert spectral_norm(amp.block() - random_unitary(2, seed=17)) <= 1e-12
 
 
 def test_aa_near_unit_input():
     # an already unit-factor encoding passes through within eps
     u = random_unitary(4, seed=18)
     be = dilated_encoding(u, 1.0 + 1e-12)
-    amp = fixed_point_aa(be, delta=0.9, eps=1e-8)
+    amp = fixed_point_aa(be, 1e-8)
     assert spectral_norm(amp.block() - u) <= 1e-8
 
 

@@ -85,6 +85,11 @@ def test_verify_be_passes(graph_file, tmp_path):
     assert doc["encodings"]["a_hub"]["error"] <= 1e-10
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "nan", "1e-15"])
+def test_verify_be_unreachable_eps_exits_2(graph_file, eps):
+    assert run_cli("verify-be", graph_file, "--t", "1.7", "--eps", eps) == 2
+
+
 def test_simulate_t0_state_passthrough(graph_file, tmp_path):
     state_out = tmp_path / "state.json"
     assert run_cli("simulate", graph_file, "--t", "0", "--method", "circuit",

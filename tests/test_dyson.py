@@ -36,17 +36,21 @@ def test_config_validation():
             DysonConfig(bad, 4, 1, 1e-3)
         with pytest.raises(ConfigurationError):
             DysonConfig(1.0 / 16.0, 4, 1, bad)
-        with pytest.raises(ConfigurationError):
-            DysonConfig(1.0 / 16.0, 4, 1, 1e-3, t_total=bad)
-    cfg = DysonConfig(0.0625, 64, 4, 1e-3, t_total=1.0)
-    assert cfg.eps_segment == pytest.approx(1e-3 * 0.0625)
 
 
 def test_default_config_schedule(dg8):
     cfg = default_config(dg8, t=1.0, eps=1e-3)
     assert cfg.tau == pytest.approx(1.0 / 16.0)
+    assert cfg.eps_segment == pytest.approx(1e-3 * 0.0625)
     assert cfg.big_d >= 2 * (np.sqrt(12) + 8) * cfg.tau / cfg.eps_segment
     assert dyson.truncation_bound(8.0, cfg.tau, cfg.big_k) <= cfg.eps_segment / 2
+    # one segment shorter than 1/(2 alpha2) covers a short t with all of eps
+    short = default_config(dg8, t=0.01, eps=1e-3)
+    assert (short.tau, short.eps_segment) == (0.01, 1e-3)
+    assert (short.big_k, short.big_d) == (3, 256)
+    for t in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            default_config(dg8, t, 1e-3)
 
 
 def test_selectg_d0_identity(dg8):
@@ -350,7 +354,7 @@ def test_segment_amplification(dg8):
     cfg = DysonConfig(tau, 256, 6, 1e-4)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
-    amp = fixed_point_aa(seg, 0.9 / seg.alpha, 1e-6)
+    amp = fixed_point_aa(seg, 1e-6)
     exact = exact_segment_propagator(dg8, tau)
     assert spectral_norm(amp.block() - exact) < 5e-5
     assert amp.alpha == 1.0
@@ -415,6 +419,29 @@ def test_simulate_input_validation(dg8):
     for t in (float("inf"), float("nan")):
         with pytest.raises(ParameterError):
             dyson.simulate_full(dg8, t, 1e-3, good)
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+@pytest.mark.parametrize("fraction", [1.0 / 3.0, 1.0, 2.5])
+def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
+                                                  fraction):
+    # K, D and tau in the report are those of the first segment the solve
+    # assembled, also when t is shorter than one scheduled segment
+    configs = []
+    original = dyson.dyson_segment
+
+    def recording(leaves, config, *args, **kwargs):
+        configs.append(config)
+        return original(leaves, config, *args, **kwargs)
+
+    monkeypatch.setattr(dyson, "dyson_segment", recording)
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    t = fraction / 16.0
+    _, report = dyson.simulate_full(dg8, t, 1e-2, psi0, method=method)
+    first = configs[0]
+    assert (report.big_k, report.big_d, report.tau) == \
+        (first.big_k, first.big_d, first.tau)
 
 
 def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):

@@ -94,11 +94,17 @@ def test_control_values_select_branch():
     assert out[layout.basis_index({"c": 3, "s": 0})] == 1.0
 
 
-def test_register_layout_cap(monkeypatch):
+def test_extract_block_width_cap(monkeypatch):
+    # a layout allocates nothing, so a wide one builds; extracting from a
+    # circuit over it would allocate 2^width columns and is refused
     monkeypatch.setenv("HUBSIM_QUBIT_CAP", "5")
-    with pytest.raises(ResourceError):
-        RegisterLayout(("big", 6))
-    RegisterLayout(("ok", 5))
+    circ = Circuit(RegisterLayout(("anc", 4), ("sys", 2)))
+    assert circ.width == 6
+    with pytest.raises(ResourceError) as err:
+        extract_block(circ, 2)
+    assert err.value.stage == "extract_block"
+    narrow = Circuit(RegisterLayout(("anc", 3), ("sys", 2)))
+    assert np.array_equal(extract_block(narrow, 2), np.eye(4))
 
 
 def test_register_layout_helpers():
