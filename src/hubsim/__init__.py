@@ -7,7 +7,7 @@ interaction-picture truncated-series evolution, all verified against
 independent dense references.
 """
 
-from .blockenc import BlockEncoding, fixed_point_aa, lcu, product, verify
+from .blockenc import BlockEncoding, fixed_point_aa, lcu, verify
 from .dyson import (DysonConfig, LeafBlocks, build_dressed_H2, build_selectG,
                     default_config, dyson_segment, simulate_full)
 from .ffhub import (build_P_pm, build_expG, classical_expG_apply, spectrum_G)
@@ -17,8 +17,7 @@ from .oracles import (OracleSet, build_oracle_set, derive_OK_by_query,
                       derive_OZ_by_query)
 from .qstate import (Circuit, LinearOperator, RegisterLayout, extract_block,
                      spectral_norm)
-from .refcheck import (dense_expm, distance, phase_insensitive_distance,
-                       rotated_reference)
+from .refcheck import dense_expm, distance, rotated_reference
 from .sparse_enc import encode_Ah, encode_Aminus, encode_Ar, encode_H2
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "default_config", "dense_expm", "derive_OK_by_query", "derive_OZ_by_query",
     "dg8", "distance", "dyson_segment", "encode_Ah", "encode_Aminus",
     "encode_Ar", "encode_H2", "extract_block", "fixed_point_aa", "generate",
-    "lcu", "load_graph", "phase_insensitive_distance", "product",
-    "rotated_reference", "save_graph", "simulate_full", "spectral_norm",
-    "spectrum_G", "split", "validate", "verify",
+    "lcu", "load_graph", "rotated_reference", "save_graph", "simulate_full",
+    "spectral_norm", "spectrum_G", "split", "validate", "verify",
 ]

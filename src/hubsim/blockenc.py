@@ -1,4 +1,4 @@
-"""Block-encoding algebra: verification, linear combination, products, and
+"""Block-encoding algebra: verification, linear combination and
 fixed-point amplification.
 
 A block encoding packages a unitary with (alpha, m, eps) metadata: the
@@ -11,9 +11,11 @@ encodings keeps the factors' ancilla banks disjoint, which is what makes
 the combined block equal the algebraic combination of sub-blocks; every
 constructor therefore carries an efficient ``block`` path that evaluates
 the combination densely without touching the full-width Hilbert space.
-The amplified circuit, L applications of the encoding for the odd degree
-L, is built on first use, never eagerly: the ``block`` path does not need
-it, and materializing it checks the qubit cap.
+Every register a constructor names is placed even when it is empty (an
+index register of one term, a bank of bare unitaries), so m = 0 needs no
+separate circuit.  The amplified circuit, L applications of the encoding
+for the odd degree L, is built on first use, never eagerly: the ``block``
+path does not need it, and materializing it checks the qubit cap.
 
 All encodings are immutable after construction and safe to share between
 threads.
@@ -81,8 +83,7 @@ class BlockEncoding:
 
 
 def identity_encoding(n_sys: int, m: int = 0, label: str = "identity") -> BlockEncoding:
-    regs = ([("anc", m)] if m else []) + [("sys", n_sys)]
-    circ = Circuit(RegisterLayout(*regs), label=label)
+    circ = Circuit(RegisterLayout(("anc", m), ("sys", n_sys)), label=label)
     return BlockEncoding(circ, 1.0, m, n_sys,
                          block_fn=lambda: np.eye(2 ** n_sys, dtype=np.complex128),
                          label=label)
@@ -98,19 +99,12 @@ def zero_encoding(n_sys: int, label: str = "zero") -> BlockEncoding:
                          label=label)
 
 
-def unitary_encoding(gate: LinearOperator, n_sys: int,
-                     label: str = "") -> BlockEncoding:
-    """Wrap a bare n-qubit unitary as a (1, 0)-encoding of itself."""
-    if gate.width != n_sys:
-        raise RegisterError("gate width must equal system width")
-    return BlockEncoding(gate, 1.0, 0, n_sys, label=label or gate.label)
-
-
 def verify(be: BlockEncoding, target: np.ndarray) -> float:
     """Measured spectral-norm error of the encoding against a dense target.
 
     Returns ||target - alpha * block||; raises EncodingError when the
-    measurement exceeds the encoding's claimed eps (plus 1e-9 slack).
+    measurement exceeds the encoding's claimed eps (plus 1e-9 slack) or
+    is not finite.
     """
     target = np.asarray(target, dtype=np.complex128)
     dim = 2 ** be.n_sys
@@ -118,7 +112,7 @@ def verify(be: BlockEncoding, target: np.ndarray) -> float:
         raise ParameterError(
             f"target shape {target.shape} does not match system dim {dim}")
     err = spectral_norm(target - be.alpha * be.block())
-    if err > be.eps + 1e-9:
+    if not err <= be.eps + 1e-9:
         raise EncodingError(
             f"{be.label}: measured error {err:.3e} exceeds claimed "
             f"eps {be.eps:.3e}")
@@ -179,12 +173,10 @@ def lcu(coeffs, bes) -> BlockEncoding:
     col_prep = np.sqrt(weights / lam)
     col_unprep = np.conj(col_prep)
 
-    regs = ([("idx", idx_width)] if idx_width else []) \
-        + ([("bank", bank)] if bank else []) + [("sys", n)]
-    layout = RegisterLayout(*regs)
+    layout = RegisterLayout(("idx", idx_width), ("bank", bank), ("sys", n))
     circ = Circuit(layout, label="lcu")
-    idx_qubits = list(layout.axes("idx")) if idx_width else []
-    bank_qubits = list(layout.axes("bank")) if bank else []
+    idx_qubits = list(layout.axes("idx"))
+    bank_qubits = list(layout.axes("bank"))
     sys_qubits = list(layout.axes("sys"))
 
     v_gate = DenseGate(unitary_with_first_column(col_prep), label="prepare")
@@ -193,9 +185,8 @@ def lcu(coeffs, bes) -> BlockEncoding:
     for j, (c, be) in enumerate(zip(coeffs, bes)):
         if c == 0:
             continue
-        controls = [("idx", j)] if idx_width else []
         circ.append(be.unitary, qubits=bank_qubits[:be.m] + sys_qubits,
-                    controls=controls)
+                    controls=[("idx", j)])
     circ.append(vp_gate, qubits=idx_qubits, adjoint=True)
 
     eps = float(sum(abs(c) for c in coeffs) * max(be.eps for be in bes))
@@ -210,35 +201,6 @@ def lcu(coeffs, bes) -> BlockEncoding:
 
     return BlockEncoding(circ, lam, bank + idx_width, n, eps=eps,
                          block_fn=block_fn, label="lcu")
-
-
-def product(be1: BlockEncoding, be2: BlockEncoding) -> BlockEncoding:
-    """Encoding of A1 @ A2 (A2 applied first), ancilla banks kept disjoint."""
-    if be1.n_sys != be2.n_sys:
-        raise RegisterError("system widths differ")
-    n = be1.n_sys
-    regs = []
-    if be1.m:
-        regs.append(("anc1", be1.m))
-    if be2.m:
-        regs.append(("anc2", be2.m))
-    regs.append(("sys", n))
-    layout = RegisterLayout(*regs)
-    circ = Circuit(layout, label="product")
-    sys_qubits = list(layout.axes("sys"))
-    if be2.m:
-        circ.append(be2.unitary, qubits=list(layout.axes("anc2")) + sys_qubits)
-    else:
-        circ.append(be2.unitary, qubits=sys_qubits)
-    if be1.m:
-        circ.append(be1.unitary, qubits=list(layout.axes("anc1")) + sys_qubits)
-    else:
-        circ.append(be1.unitary, qubits=sys_qubits)
-
-    eps = be1.alpha * be2.eps + be2.alpha * be1.eps
-    return BlockEncoding(circ, be1.alpha * be2.alpha, be1.m + be2.m, n,
-                         eps=eps, block_fn=lambda: be1.block() @ be2.block(),
-                         label="product")
 
 
 # -- fixed-point amplification ------------------------------------------------
@@ -329,16 +291,11 @@ def fixed_point_aa(be: BlockEncoding, eps: float) -> BlockEncoding:
     m, n = be.m, be.n_sys
 
     def build_circuit():
-        regs = [("aaflag", 1)] + ([("bank", m)] if m else []) + [("sys", n)]
-        layout = RegisterLayout(*regs)
+        layout = RegisterLayout(("aaflag", 1), ("bank", m), ("sys", n))
         circ = Circuit(layout, label="amplified")
-        bank_sys = (list(layout.axes("bank")) if m else []) \
-            + list(layout.axes("sys"))
+        bank_sys = list(layout.axes("bank")) + list(layout.axes("sys"))
 
         def projector_phase(phi: float):
-            if m == 0:
-                circ.append(GlobalPhase(phi), qubits=[])
-                return
             circ.append(x_gate(), on=["aaflag"], controls=[("bank", 0)])
             circ.append(phase1_gate(phi), on=["aaflag"])
             circ.append(x_gate(), on=["aaflag"], controls=[("bank", 0)])

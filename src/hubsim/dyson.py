@@ -132,13 +132,16 @@ class LeafBlocks:
     per solve builds the residual encoding, the t-independent exp(-iGt)
     bundle and each distinct exp(-iGt) encoding once, and drops them with
     the solve.  The oracle set is built on first use when none is given;
-    one built on another graph raises ``ParameterError``.
+    one built on another graph raises ``ParameterError``.  Both tiers hold
+    dense N x N blocks, so a graph past the dense-block cap raises
+    ``ResourceError`` before anything is validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
                  oracle_set: OracleSet | None = None):
         if method not in ("circuit", "classical-ff"):
             raise ParameterError(f"unknown method {method!r}")
+        check_dense_block(graph.n_qubits, "leaf_blocks")
         report = validate(graph)
         if not report.passed:
             raise GraphStructureError("; ".join(report.failures()))
@@ -392,15 +395,13 @@ def _ordered_series_totals(bit_blocks, h2_block: np.ndarray,
 def _segment_registers(big_k: int, log_d: int, m_bank: int,
                        n: int) -> list[tuple[str, int]]:
     """Register list of the assembled segment circuit, ancillas first and
-    the system register last."""
-    regs = [("kidx", max(1, big_k.bit_length()))]
-    for j in range(1, big_k + 1):
-        regs.append((f"t{j}", log_d))
-    if big_k > 1:
-        regs.append(("pflag", big_k - 1))
-        regs.append(("oflag", big_k - 1))
-    regs += [("bank", m_bank), ("sys", n)]
-    return regs
+    the system register last.  The flag banks hold one qubit per boundary
+    between adjacent time slots; at K = 0 the order index is empty too."""
+    n_flags = max(0, big_k - 1)
+    return ([("kidx", big_k.bit_length())]
+            + [(f"t{j}", log_d) for j in range(1, big_k + 1)]
+            + [("pflag", n_flags), ("oflag", n_flags),
+               ("bank", m_bank), ("sys", n)])
 
 
 def _build_segment_circuit(graph, config, dressed):

@@ -184,9 +184,11 @@ def build_expG(oracles: OracleSet, t: float, eps: float, *,
     Only the phased projector circuit, the combination and the
     amplification are built per call.  The rest comes from ``bundle``,
     ``expG_bundle(oracles)`` shared across t; without it the call builds
-    its own, with the same result.  A bundle built on another oracle set
-    raises ``ParameterError``.
+    its own, with the same result.  A non-finite t or a bundle built on
+    another oracle set raises ``ParameterError``.
     """
+    if not np.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
     graph = oracles.graph
     n = graph.n_qubits
     if graph.m_hubs == 0:

@@ -3,9 +3,10 @@
 Conventions
 -----------
 Registers in a layout are ordered most-significant-first: the first
-register occupies the highest bits of the flat amplitude index.  A state
-over w qubits is a complex vector of length 2**w; qubit axis 0 is the most
-significant bit.
+register occupies the highest bits of the flat amplitude index.  A
+register may be empty: it spans no qubits, and a control on value 0 of it
+always holds.  A state over w qubits is a complex vector of length 2**w;
+qubit axis 0 is the most significant bit.
 
 Operators are never stored as dense matrices over the full space.  They
 are either small primitives (dense gates on a few qubits, permutations of
@@ -57,7 +58,11 @@ class Register:
 class RegisterLayout:
     """Ordered named registers.  A layout allocates nothing, so its width
     is not capped; ``extract_block`` and ``LazyCircuit.materialize`` check
-    the widths they would allocate for."""
+    the widths they would allocate for.
+
+    A register may be empty (width 0): it has no axes, and a control
+    ``(name, 0)`` on it always holds, so a builder places its registers
+    the same way whatever their widths.  Negative widths raise."""
 
     def __init__(self, *registers: tuple[str, int]):
         regs = []
@@ -65,8 +70,8 @@ class RegisterLayout:
         for name, width in registers:
             if name in seen:
                 raise RegisterError(f"duplicate register name {name!r}")
-            if width < 1:
-                raise RegisterError(f"register {name!r} needs width >= 1")
+            if width < 0:
+                raise RegisterError(f"register {name!r} needs width >= 0")
             seen.add(name)
             regs.append(Register(name, int(width)))
         self.registers = tuple(regs)

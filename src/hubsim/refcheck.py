@@ -1,5 +1,5 @@
 """Independent brute-force references: dense matrix exponentials, a
-rotated-frame ODE integrator, and state distances.
+rotated-frame ODE integrator, and the l2 state distance.
 
 Everything here is deliberately self-contained (graph data + numpy only)
 so it can serve as ground truth for the circuit pipeline without sharing
@@ -36,16 +36,6 @@ def distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
-
-
-def phase_insensitive_distance(state_a: np.ndarray, state_b: np.ndarray) -> float:
-    """min over a global phase of ||a - e^{i phi} b|| = sqrt(2 - 2|<a|b>|)."""
-    a, b = np.asarray(state_a), np.asarray(state_b)
-    if a.shape != b.shape:
-        raise ParameterError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    overlap = abs(np.vdot(a, b))
-    return float(np.sqrt(max(0.0, np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2
-                              - 2.0 * overlap)))
 
 
 # -- rotated-frame integration ---------------------------------------------

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from conftest import run
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hubsim import blockenc
 from hubsim.blockenc import (BlockEncoding, fixed_point_aa, identity_encoding,
-                             lcu, product, unitary_encoding, verify,
-                             zero_encoding)
+                             lcu, verify, zero_encoding)
 from hubsim.errors import EncodingError, ParameterError, RegisterError
 from hubsim.qstate import (DenseGate, RegisterLayout, extract_block,
                            random_unitary, spectral_norm, x_gate)
@@ -29,11 +30,18 @@ def test_identity_encoding_verifies():
 
 
 def test_false_claim_raises():
-    be = unitary_encoding(x_gate(), 1, label="claimed-identity")
+    be = BlockEncoding(x_gate(), 1.0, 0, 1, label="claimed-identity")
     with pytest.raises(EncodingError):
         verify(be, np.eye(2))
     # the measured error is indeed 2
     assert abs(spectral_norm(np.eye(2) - be.block()) - 2.0) < 1e-12
+
+
+def test_verify_fails_on_a_non_finite_error():
+    nan_block = BlockEncoding(x_gate(), 1.0, 0, 1,
+                              block_fn=lambda: np.full((2, 2), np.nan))
+    with pytest.raises(EncodingError):
+        verify(nan_block, np.eye(2))
 
 
 def test_verify_dimension_mismatch():
@@ -43,7 +51,7 @@ def test_verify_dimension_mismatch():
 
 def test_lcu_single_term():
     u = random_unitary(4, seed=0)
-    be = unitary_encoding(DenseGate(u), 2)
+    be = BlockEncoding(DenseGate(u), 1.0, 0, 2)
     combo = lcu([1.0], [be])
     assert combo.alpha == 1.0
     assert np.allclose(combo.block(), u, atol=1e-12)
@@ -99,47 +107,43 @@ def test_lcu_bad_inputs():
         lcu([0.0], [identity_encoding(1)])
 
 
-def test_product_identity_factor():
-    u = random_unitary(4, seed=3)
-    be = unitary_encoding(DenseGate(u), 2)
-    combined = product(identity_encoding(2), be)
-    assert np.allclose(combined.block(), u, atol=1e-12)
+# (factor ancillas, |coefficient|, coefficient phase, factor alpha)
+_LCU_TERMS = st.lists(st.tuples(st.sampled_from([0, 1, 2]),
+                                st.floats(0.1, 2.0),
+                                st.floats(0.0, 2.0 * np.pi),
+                                st.floats(1.0, 3.0)),
+                      min_size=1, max_size=5)
 
 
-def test_product_composition_bare_unitaries():
-    u1, u2 = random_unitary(4, seed=4), random_unitary(4, seed=5)
-    combined = product(unitary_encoding(DenseGate(u1), 2),
-                       unitary_encoding(DenseGate(u2), 2))
-    assert np.allclose(combined.block(), u1 @ u2, atol=1e-12)
+@given(n=st.sampled_from([1, 2]), terms=_LCU_TERMS)
+@example(n=1, terms=[(0, 1.0, 0.0, 1.0)])  # empty index and bank
+@example(n=2, terms=[(0, 1.0, 0.0, 1.0), (0, 0.5, np.pi, 2.0)])  # empty bank
+def test_lcu_circuit_matches_block_with_empty_registers(n, terms):
+    bes = [BlockEncoding(DenseGate(random_unitary(2 ** (m + n), seed=j)),
+                         alpha, m, n)
+           for j, (m, _, _, alpha) in enumerate(terms)]
+    combo = lcu([r * np.exp(1j * phi) for _, r, phi, _ in terms], bes)
+    assert combo.unitary.width == combo.m + n
+    circ_block = extract_block(combo.unitary, n)
+    assert np.max(np.abs(circ_block - combo.block())) < 1e-10
 
 
-def test_product_disjoint_banks_match_circuit():
-    rng = np.random.default_rng(6)
-    m1 = 0.4 * random_unitary(4, seed=7)
-    m2 = 0.7 * random_unitary(4, seed=8)
-    be1, be2 = dilated_encoding(m1, 1.5), dilated_encoding(m2, 2.0)
-    combined = product(be1, be2)
-    assert combined.alpha == pytest.approx(3.0)
-    assert combined.m == 2
-    assert spectral_norm(m1 @ m2 - combined.alpha * combined.block()) < 1e-12
-    circ_block = extract_block(combined.unitary, 2)
-    assert np.max(np.abs(circ_block - combined.block())) < 1e-12
+@given(n=st.sampled_from([1, 2]), m=st.sampled_from([0, 2]))
+def test_identity_encoding_circuit_matches_block(n, m):
+    be = identity_encoding(n, m)
+    assert (be.unitary.width, be.m) == (m + n, m)
+    assert np.max(np.abs(extract_block(be.unitary, n) - be.block())) < 1e-10
 
 
-def test_product_eps_formula():
-    u = random_unitary(2, seed=9)
-    a = BlockEncoding(DenseGate(u), 2.0, 0, 1, eps=0.1)
-    b = BlockEncoding(DenseGate(u), 3.0, 0, 1, eps=0.2)
-    combined = product(a, b)
-    assert combined.eps == pytest.approx(2.0 * 0.2 + 3.0 * 0.1)
-
-
-def test_product_associativity_at_block_level():
-    bes = [dilated_encoding(0.5 * random_unitary(4, seed=s), 1.25)
-           for s in (10, 11, 12)]
-    left = product(product(bes[0], bes[1]), bes[2])
-    right = product(bes[0], product(bes[1], bes[2]))
-    assert np.max(np.abs(left.block() - right.block())) < 1e-10
+@given(n=st.sampled_from([1, 2]), alpha=st.floats(1.0, 3.0),
+       eps=st.sampled_from([1e-3, 1e-6]))
+def test_aa_of_a_bare_unitary_circuit_matches_block(n, alpha, eps):
+    # m = 0: the projector phases act on the flag alone
+    be = BlockEncoding(DenseGate(random_unitary(2 ** n, seed=19)), alpha, 0, n)
+    amp = fixed_point_aa(be, eps)
+    assert (amp.unitary.width, amp.m) == (1 + n, 1)
+    circ_block = extract_block(amp.unitary, n)
+    assert np.max(np.abs(circ_block - amp.block())) < 1e-10
 
 
 def test_aa_contract_and_accuracy():

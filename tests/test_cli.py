@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hubsim import netgraph
+from hubsim import dyson, netgraph
 from hubsim.cli import main
 
 
@@ -90,6 +90,12 @@ def test_verify_be_unreachable_eps_exits_2(graph_file, eps):
     assert run_cli("verify-be", graph_file, "--t", "1.7", "--eps", eps) == 2
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_verify_be_non_finite_t_exits_2(graph_file, t, capsys):
+    assert run_cli("verify-be", graph_file, "--t", t) == 2
+    assert "t must be finite" in capsys.readouterr().err
+
+
 def test_simulate_t0_state_passthrough(graph_file, tmp_path):
     state_out = tmp_path / "state.json"
     assert run_cli("simulate", graph_file, "--t", "0", "--method", "circuit",
@@ -169,6 +175,23 @@ def test_resource_cap_exits_3(graph_file, monkeypatch, tmp_path):
     rc = run_cli("simulate", graph_file, "--t", "0.5", "--eps", "1e-2",
                  "--method", "circuit", "-o", str(tmp_path / "r.json"))
     assert rc == 3
+
+
+def test_simulate_past_dense_cap_exits_3(monkeypatch, tmp_path, capsys):
+    # 8192 nodes = 13 qubits, one past the dense-block cap; nothing the
+    # leaf source would build may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the dense-block cap")
+
+    monkeypatch.setattr(dyson, "build_oracle_set", refuse)
+    monkeypatch.setattr(dyson, "classical_expG_apply", refuse)
+    path = tmp_path / "big.json"
+    netgraph.save_graph(netgraph._from_edges(8192, [], set(), 0, 1, 2),
+                        str(path))
+    for method in ("circuit", "classical-ff"):
+        assert run_cli("simulate", str(path), "--t", "0.5", "--eps", "1e-2",
+                       "--method", method, "-o", str(tmp_path / "r.json")) == 3
+        assert "leaf_blocks" in capsys.readouterr().err
 
 
 def test_bench_deterministic_counts(graph_file, tmp_path):

@@ -503,6 +503,25 @@ def test_leaf_blocks_reject_an_invalid_graph():
         dyson.simulate_full(g, 0.0, 1e-2, psi0)
 
 
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_leaf_blocks_refuse_graphs_past_the_dense_cap(monkeypatch, method):
+    # 8192 nodes = 13 qubits: the guard fires before the oracle tables
+    # (circuit) or the N x N identity (classical-ff) are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the dense-block cap")
+
+    monkeypatch.setattr(dyson, "build_oracle_set", refuse)
+    monkeypatch.setattr(dyson, "classical_expG_apply", refuse)
+    g = netgraph._from_edges(8192, [], set(), 0, 1, 2)
+    with pytest.raises(ResourceError) as err:
+        LeafBlocks(g, method)
+    assert err.value.stage == "leaf_blocks"
+    psi0 = np.zeros(8192, dtype=np.complex128)
+    psi0[0] = 1.0
+    with pytest.raises(ResourceError):
+        dyson.simulate_full(g, 0.5, 1e-2, psi0, method=method)
+
+
 def test_leaf_blocks_reject_a_foreign_oracle_set():
     from hubsim.oracles import build_oracle_set
     g1 = netgraph.generate(16, 2, 4, 2, rng_seed=1)

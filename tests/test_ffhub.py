@@ -103,6 +103,15 @@ def test_expg_hub_free_identity():
     assert spectral_norm(np.eye(8) - be.block()) == 0.0
 
 
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_expg_rejects_non_finite_t(dg8_oracles, t):
+    with pytest.raises(ParameterError, match="finite"):
+        ffhub.build_expG(dg8_oracles, t, 1e-6)
+    hub_free = build_oracle_set(netgraph.generate(8, 0, 2, 1, rng_seed=0))
+    with pytest.raises(ParameterError, match="finite"):
+        ffhub.build_expG(hub_free, t, 1e-6)
+
+
 def test_expg_amplified_circuit_matches_block(dg8_oracles):
     be = ffhub.build_expG(dg8_oracles, 0.9, 1e-4)
     circ_block = extract_block(be.unitary, 3)

@@ -94,6 +94,29 @@ def test_control_values_select_branch():
     assert out[layout.basis_index({"c": 3, "s": 0})] == 1.0
 
 
+def test_empty_register():
+    layout = RegisterLayout(("e", 0), ("s", 1))
+    assert layout.width == 1
+    assert layout.axes("e") == ()
+    assert layout.axes("s") == (0,)
+    assert layout.basis_index({"e": 0, "s": 1}) == 1
+
+
+def test_control_on_empty_register_always_holds():
+    layout = RegisterLayout(("e", 0), ("s", 1))
+    circ = Circuit(layout).append(x_gate(), on=["s"], controls=[("e", 0)])
+    assert circ.steps[0].controls == ()
+    assert np.array_equal(run(circ, basis_state(layout, 0)), [0.0, 1.0])
+
+
+def test_empty_register_bad_values_raise():
+    layout = RegisterLayout(("e", 0), ("s", 1))
+    with pytest.raises(RegisterError):
+        Circuit(layout).append(x_gate(), on=["s"], controls=[("e", 1)])
+    with pytest.raises(RegisterError):
+        RegisterLayout(("e", -1), ("s", 1))
+
+
 def test_extract_block_width_cap(monkeypatch):
     # a layout allocates nothing, so a wide one builds; extracting from a
     # circuit over it would allocate 2^width columns and is refused

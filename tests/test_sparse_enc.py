@@ -123,16 +123,6 @@ def test_h2_norm_below_alpha_50_graphs():
     assert checked == 50
 
 
-def test_product_of_hub_encodings(dg8, dg8_split, dg8_oracles):
-    from hubsim.blockenc import product
-    be = sparse_enc.encode_Ah(dg8_oracles)
-    squared = product(be, be)
-    target = (dg8_split.dense_a_h().astype(complex) / 2.0) @ \
-        (dg8_split.dense_a_h().astype(complex) / 2.0)
-    assert squared.alpha == 4.0
-    assert spectral_norm(squared.block() - target) < 1e-10
-
-
 def test_split_identity_through_blocks():
     for seed in range(6):
         g = netgraph.generate(8, 2, 4, 2, rng_seed=seed)
