@@ -17,11 +17,20 @@ and the identity branch form an ``ExpGBundle`` that one graph's encodings
 for every t can share.  The circuit constructors take the graph's
 ``OracleSet`` and read the graph from it; a bundle records the oracle set
 it was built on, and ``build_expG`` rejects a bundle from another one.
+
+Since t enters only as the rotation rz(-2 lambda t) on the flag, the
+phased projector block is exactly e^{i lambda t} P + e^{-i lambda t} Q for
+two fixed blocks: P collects the paths on which the flag sits at 0 during
+the rotation, Q those on which it sits at 1.  The unphased block is
+P + Q and the phased block at lambda t = pi/2 is i(P - Q), so a bundle
+extracts P and Q once, on first use, and every phased encoding on it
+takes its block from them instead of extracting its own circuit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,13 +158,34 @@ class ExpGBundle:
     """The t-independent parts of an exp(-iGt) encoding: the eigenvector
     preparations, the unphased marked-projector encoding (its block is
     extracted once, on first use) and the 5-ancilla identity branch, built
-    on ``oracles``."""
+    on ``oracles``.
+
+    ``phased_block(t)`` is the phased projector block
+    e^{i lambda t} P + e^{-i lambda t} Q.  The blocks (P, Q) are built
+    once, on first use, from the unphased block P + Q and one extraction
+    of the phased circuit at lambda t = pi/2, which gives i(P - Q)."""
 
     oracles: OracleSet
     u_plus: BlockEncoding
     u_minus: BlockEncoding
     plain: BlockEncoding
     identity: BlockEncoding
+
+    @cached_property
+    def projector_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        graph = self.oracles.graph
+        quarter = _marked_projector_circuit(
+            graph, self.u_plus, self.u_minus,
+            0.5 * np.pi / link_norm(graph), with_phase=True)
+        turned = BlockEncoding(quarter, self.plain.alpha, 5, graph.n_qubits,
+                               label="phased_projectors").block()
+        plain = self.plain.block()
+        return 0.5 * (plain - 1j * turned), 0.5 * (plain + 1j * turned)
+
+    def phased_block(self, t: float) -> np.ndarray:
+        p_blk, q_blk = self.projector_blocks
+        phase = np.exp(1j * link_norm(self.oracles.graph) * t)
+        return phase * p_blk + np.conj(phase) * q_blk
 
 
 def expG_bundle(oracles: OracleSet) -> ExpGBundle:
@@ -184,8 +214,10 @@ def build_expG(oracles: OracleSet, t: float, eps: float, *,
     Only the phased projector circuit, the combination and the
     amplification are built per call.  The rest comes from ``bundle``,
     ``expG_bundle(oracles)`` shared across t; without it the call builds
-    its own, with the same result.  A non-finite t or a bundle built on
-    another oracle set raises ``ParameterError``.
+    its own, with the same result.  The phased projector block comes from
+    the bundle's ``phased_block(t)``, so no call extracts its own circuit.
+    A non-finite t or a bundle built on another oracle set raises
+    ``ParameterError``.
     """
     if not np.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
@@ -200,6 +232,7 @@ def build_expG(oracles: OracleSet, t: float, eps: float, *,
     phased = _marked_projector_circuit(graph, bundle.u_plus, bundle.u_minus,
                                        t, with_phase=True)
     be_phased = BlockEncoding(phased, bundle.plain.alpha, 5, n,
+                              block_fn=lambda: bundle.phased_block(t),
                               label="phased_projectors")
 
     pre = lcu([1.0, -1.0, 1.0], [be_phased, bundle.plain, bundle.identity])

@@ -16,10 +16,17 @@ Applying an operator streams over the amplitude array one primitive at a
 time, so the cost is a handful of full-array passes per primitive.
 
 The one entry point is `LinearOperator.apply_to_array`, which runs an
-operator on a batch of amplitude columns over its full width;
-`extract_block` reaches it to read an encoded block column by column.
-Operators are immutable once built and safe for concurrent reads; the
-input array is never modified.
+operator on a batch of amplitude columns over its full width.
+`extract_block` reads an encoded block column by column from the same
+primitive stream in two representations.  A batch of columns starts
+sparse, as (column, basis index, amplitude) entries: permutations remap
+indices, controls select entries, dense gates multiply only the slices
+their entries touch, so a leaf block whose columns hold a few nonzeros
+costs what those nonzeros need, not 2^width amplitudes each.  Once the
+support passes a fixed share of the batch's amplitudes, the entries are
+scattered into the dense array and the rest of the stream runs on the
+dense path of `apply_to_array`.  Operators are immutable once built and
+safe for concurrent reads; the input array is never modified.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ DEFAULT_EXTRACT_SYSTEM_CAP = 12
 _NORM_TOL = 1e-10       # spectral_norm: relative change that stops it,
 _NORM_MAX_ITER = 1000   # its step limit
 _NORM_SEED = 7          # and the seed of its start vector
+# extract_block: share of a column batch's amplitudes whose support sends
+# the batch from the sparse to the dense path
+_DENSE_SWITCH = 1 / 32
 
 
 def qubit_cap() -> int:
@@ -213,6 +223,10 @@ class PermutationGate(Operation):
         # out[perm[k]] = in[k]  <=>  out = in[inv_perm]
         return block[self.perm if adjoint else self.inv_perm]
 
+    def remap(self, local: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Where the basis states ``local`` go."""
+        return (self.inv_perm if adjoint else self.perm)[local]
+
 
 class FunctionalPermutation(Operation):
     """Involutive permutation given by a vectorized index map (no stored
@@ -230,7 +244,11 @@ class FunctionalPermutation(Operation):
     def act(self, block, adjoint):
         idx = np.arange(block.shape[0], dtype=np.int64)
         # out[fn(k)] = in[k]  <=>  out = in[fn]  for an involution
-        return block[np.asarray(self.fn(idx), dtype=np.int64)]
+        return block[self.remap(idx, adjoint)]
+
+    def remap(self, local: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Where the basis states ``local`` go."""
+        return np.asarray(self.fn(local), dtype=np.int64)
 
 
 class GlobalPhase(Operation):
@@ -278,13 +296,6 @@ def rz_gate(theta: float) -> DenseGate:
 def phase1_gate(phi: float) -> DenseGate:
     """diag(1, e^{i phi}) on one qubit."""
     return DenseGate(np.diag([1.0, np.exp(1j * phi)]), label="P1")
-
-
-def random_unitary(dim: int, seed: int = 0) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # -- circuits ----------------------------------------------------------------
@@ -386,7 +397,8 @@ class LazyCircuit(LinearOperator):
 
 def _run(arr: np.ndarray, width: int, instructions) -> np.ndarray:
     batch = arr.shape[1]
-    tensor = np.ascontiguousarray(arr).reshape((2,) * width + (batch,))
+    tensor = np.ascontiguousarray(arr, dtype=np.complex128).reshape(
+        (2,) * width + (batch,))
     for prim, axes, controls, adjoint in instructions:
         tensor = _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint)
         if hasattr(prim, "on_applied"):
@@ -394,11 +406,16 @@ def _run(arr: np.ndarray, width: int, instructions) -> np.ndarray:
     return tensor.reshape(2 ** width, batch)
 
 
-def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
-    k = prim.width
+def _check_disjoint(prim, axes, controls) -> None:
     ctrl_axes = tuple(a for a, _ in controls)
     if len(set(ctrl_axes + axes)) != len(ctrl_axes) + len(axes):
         raise RegisterError(f"{prim.label}: control and target qubits overlap")
+
+
+def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
+    k = prim.width
+    _check_disjoint(prim, axes, controls)
+    ctrl_axes = tuple(a for a, _ in controls)
     front = ctrl_axes + axes
     c = len(ctrl_axes)
     moved = np.moveaxis(tensor, front, range(len(front)))
@@ -416,6 +433,86 @@ def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
     return np.moveaxis(work, range(len(front)), front)
 
 
+# -- sparse columns ------------------------------------------------------------
+#
+# A batch of columns is held as its nonzero entries: an int64 key per entry
+# packing (column << width) | basis index, and a complex amplitude.  Qubit
+# axis a is bit width - 1 - a of the basis index.
+
+
+def _gather(key: np.ndarray, shifts: list[int]) -> np.ndarray:
+    """Local index of the bits at ``shifts`` (first most significant)."""
+    local = np.zeros_like(key)
+    for s in shifts:
+        local = (local << 1) | ((key >> s) & 1)
+    return local
+
+
+def _spread(local: np.ndarray, shifts: list[int]) -> np.ndarray:
+    """Inverse of ``_gather``: the local index's bits placed at ``shifts``."""
+    k = len(shifts)
+    out = np.zeros_like(local)
+    for pos, s in enumerate(shifts):
+        out |= ((local >> (k - 1 - pos)) & 1) << s
+    return out
+
+
+def _apply_sparse(key, amp, width, prim, axes, controls, adjoint):
+    """One primitive on sparse entries; returns the new (key, amp)."""
+    _check_disjoint(prim, axes, controls)
+    if controls:
+        cmask = cval = 0
+        for a, bit in controls:
+            cmask |= 1 << (width - 1 - a)
+            cval |= bit << (width - 1 - a)
+        hit = (key & cmask) == cval
+        if not hit.all():
+            miss = ~hit
+            k_hit, a_hit = _apply_sparse(key[hit], amp[hit], width, prim,
+                                         axes, (), adjoint)
+            return (np.concatenate((key[miss], k_hit)),
+                    np.concatenate((amp[miss], a_hit)))
+    shifts = [width - 1 - a for a in axes]
+    rest = key & ~sum(1 << s for s in shifts)
+    remap = getattr(prim, "remap", None)
+    if remap is not None:
+        return rest | _spread(remap(_gather(key, shifts), adjoint), shifts), amp
+    # one 2^k slice per (column, non-target bits)
+    groups, slot = np.unique(rest, return_inverse=True)
+    block = np.zeros((1 << len(shifts), len(groups)), dtype=np.complex128)
+    block[_gather(key, shifts), slot] = amp
+    out = prim.act(block, adjoint)
+    local, g = np.nonzero(out)
+    return groups[g] | _spread(local, shifts), out[local, g]
+
+
+def _extract_columns(op: LinearOperator, width: int, lo: int, hi: int,
+                     dim: int) -> np.ndarray:
+    """Rows [0, dim) of op applied to the basis columns [lo, hi): sparse
+    while the support stays under ``_DENSE_SWITCH`` of the batch's
+    amplitudes, then scattered and finished on the dense path."""
+    batch = hi - lo
+    mask = (1 << width) - 1
+    cols = np.arange(batch, dtype=np.int64)
+    key = (cols << width) | (cols + lo)
+    amp = np.ones(batch, dtype=np.complex128)
+    limit = _DENSE_SWITCH * batch * (1 << width)
+    steps = op._instructions(tuple(range(width)), (), False)
+    for prim, axes, controls, adjoint in steps:
+        key, amp = _apply_sparse(key, amp, width, prim, axes, controls, adjoint)
+        if hasattr(prim, "on_applied"):
+            prim.on_applied()
+        if len(amp) > limit:
+            tensor = np.zeros((1 << width, batch), dtype=np.complex128)
+            tensor[key & mask, key >> width] = amp
+            return _run(tensor, width, steps)[:dim]
+    out = np.zeros((dim, batch), dtype=np.complex128)
+    row = key & mask
+    keep = row < dim
+    out[row[keep], key[keep] >> width] = amp[keep]
+    return out
+
+
 def check_dense_block(n_sys: int, stage: str) -> None:
     """Raise ``ResourceError`` (naming ``stage``) before a dense block over
     more than DEFAULT_EXTRACT_SYSTEM_CAP system qubits is allocated."""
@@ -431,6 +528,14 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
     Ancillas are the leading (most significant) ``op.width - n_sys`` qubits,
     prepared in and projected back onto all-zero.  Both caps are checked
     before the operator is built or any array is allocated.
+
+    Columns run in batches of at most 2^22 amplitudes, one pass of the
+    operator's primitives each.  A batch starts sparse, as the nonzero
+    entries of its columns: permutations remap basis indices, controls
+    select entries, dense gates multiply the 2^k slices their entries
+    touch.  Once the batch's support passes ``_DENSE_SWITCH`` of its
+    2^width x batch amplitudes it is scattered into a dense array and the
+    remaining primitives run on the dense path of ``apply_to_array``.
     """
     check_dense_block(n_sys, "extract_block")
     width = op.width
@@ -440,20 +545,18 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
             stage="extract_block")
     dim = 2 ** n_sys
     block = np.empty((dim, dim), dtype=np.complex128)
-    # batches of at most 2^22 amplitudes (64 MiB); above width 22 one
-    # column alone takes 2^width x 16 B, 1 GiB at the default cap of 26
+    # above width 22 one column alone takes 2^width x 16 B if it goes
+    # dense, 1 GiB at the default cap of 26
     chunk = max(1, min(dim, (1 << 22) // (1 << width) or 1))
     for lo in range(0, dim, chunk):
         hi = min(dim, lo + chunk)
-        arr = np.zeros((2 ** width, hi - lo), dtype=np.complex128)
-        arr[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        out = op.apply_to_array(arr, width)
-        block[:, lo:hi] = out[:dim]
+        block[:, lo:hi] = _extract_columns(op, width, lo, hi, dim)
     return block
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value by power iteration on B^dag B."""
+    """Largest singular value by power iteration on B^dag B; nan as soon as
+    an iterate is not finite (a NaN or inf entry)."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.size == 0:
         return 0.0
@@ -465,6 +568,8 @@ def spectral_norm(mat: np.ndarray) -> float:
     for _ in range(_NORM_MAX_ITER):
         w = mat.conj().T @ (mat @ v)
         sigma2 = float(np.linalg.norm(w))
+        if not np.isfinite(sigma2):
+            return float("nan")
         if sigma2 == 0.0:
             return 0.0
         v = w / sigma2

@@ -17,7 +17,10 @@ MAX_DENSE_DIM = 4096
 
 
 def dense_expm(matrix: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i * matrix * t) for a Hermitian matrix, via eigendecomposition."""
+    """exp(-i * matrix * t) for a Hermitian matrix, via eigendecomposition.
+    A non-finite t raises ``ParameterError``."""
+    if not np.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ParameterError("dense_expm needs a square matrix")

@@ -60,6 +60,14 @@ def run(op, amps, adjoint=False):
                              adjoint=adjoint)[:, 0]
 
 
+def random_unitary(dim, seed=0):
+    """Haar-distributed dim x dim unitary drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_graph_params():
     """Feasible parameter tuples used across randomized tests."""
     return [

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import run
+from conftest import random_unitary, run
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -9,7 +9,7 @@ from hubsim.blockenc import (BlockEncoding, fixed_point_aa, identity_encoding,
                              lcu, verify, zero_encoding)
 from hubsim.errors import EncodingError, ParameterError, RegisterError
 from hubsim.qstate import (DenseGate, RegisterLayout, extract_block,
-                           random_unitary, spectral_norm, x_gate)
+                           spectral_norm, x_gate)
 
 
 def dilated_encoding(matrix: np.ndarray, alpha: float, seed_label="dilated"):

@@ -96,6 +96,19 @@ def test_verify_be_non_finite_t_exits_2(graph_file, t, capsys):
     assert "t must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_non_finite_t_is_refused_before_any_reference(graph_file, t, capsys,
+                                                      tmp_path):
+    # no NaN reference is computed first: numpy would warn on it
+    assert run_cli("verify-be", graph_file, "--t", t) == 2
+    assert "t must be finite" in capsys.readouterr().err
+    assert run_cli("simulate", graph_file, "--t", t, "--method", "dense",
+                   "-o", str(tmp_path / "r.json")) == 2
+    assert "t must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_simulate_t0_state_passthrough(graph_file, tmp_path):
     state_out = tmp_path / "state.json"
     assert run_cli("simulate", graph_file, "--t", "0", "--method", "circuit",

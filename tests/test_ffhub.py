@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from conftest import random_graph_params
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hubsim import ffhub, netgraph, refcheck
 from hubsim.errors import ParameterError
+from hubsim.ffhub import _marked_projector_circuit
 from hubsim.oracles import build_oracle_set
 from hubsim.qstate import extract_block, spectral_norm
 
@@ -212,3 +216,29 @@ def test_expg_shared_bundle_circuit_matches_block(dg8_oracles):
     be = ffhub.build_expG(dg8_oracles, 0.9, 1e-4, bundle=bundle)
     circ_block = extract_block(be.unitary, 3)
     assert np.max(np.abs(circ_block - be.block())) <= 1e-10
+
+
+_PHASED_PARAMS = [p for p in random_graph_params() if p[0] <= 32 and p[1] > 0]
+
+
+@settings(max_examples=12)
+@given(params=st.sampled_from(_PHASED_PARAMS + [(16, 1, 4, 1)]),
+       seed=st.integers(0, 2 ** 16),
+       kind=st.sampled_from(["zero", "fraction", "wrapped"]),
+       x=st.floats(0.0, 1.0))
+@example(params=(16, 1, 4, 1), seed=5, kind="zero", x=0.0)
+@example(params=(8, 1, 2, 2), seed=0, kind="fraction", x=0.37)
+@example(params=(32, 2, 8, 4), seed=3, kind="wrapped", x=0.5)
+def test_interpolated_phased_block_matches_extraction(params, seed, kind, x):
+    # e^{i lambda t} P + e^{-i lambda t} Q against the phased projector
+    # circuit extracted at t: t = 0, lambda t in (0, 1), lambda t past 2 pi
+    graph = netgraph.generate(*params, rng_seed=seed)
+    oracles = build_oracle_set(graph)
+    bundle = ffhub.expG_bundle(oracles)
+    lam = ffhub.link_norm(graph)
+    lam_t = {"zero": 0.0, "fraction": x, "wrapped": 2 * np.pi * (1 + 3 * x)}[kind]
+    t = lam_t / lam
+    circ = _marked_projector_circuit(graph, bundle.u_plus, bundle.u_minus, t,
+                                     with_phase=True)
+    direct = extract_block(circ, graph.n_qubits)
+    assert np.max(np.abs(bundle.phased_block(t) - direct)) <= 1e-12

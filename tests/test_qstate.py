@@ -1,13 +1,21 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import basis_state, random_state, run
+from conftest import basis_state, random_state, random_unitary, run
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hubsim import qstate
+from hubsim import netgraph, qstate, sparse_enc
 from hubsim.errors import ParameterError, RegisterError, ResourceError
-from hubsim.qstate import (Circuit, DenseGate, GlobalPhase, LazyCircuit,
-                           PermutationGate, RegisterLayout, extract_block,
-                           hadamard_layer, random_unitary, register_swap,
-                           spectral_norm, x_gate)
+from hubsim.oracles import (ORACLE_NAMES, OracleGate, QueryCounter,
+                            build_oracle_set)
+from hubsim.qstate import (Circuit, DenseGate, FunctionalPermutation,
+                           GlobalPhase, LazyCircuit, PermutationGate,
+                           RegisterLayout, extract_block, hadamard_layer,
+                           register_swap, spectral_norm, x_gate)
 
 
 def test_hadamard_layer_uniform():
@@ -215,3 +223,158 @@ def test_qubit_cap_env(monkeypatch):
     monkeypatch.setenv("HUBSIM_QUBIT_CAP", "bogus")
     with pytest.raises(ParameterError):
         qstate.qubit_cap()
+
+
+# -- sparse-support extraction --------------------------------------------------
+
+
+def _draw_operator(data, width, depth, counter):
+    """A random operator over ``width`` qubits from the package's
+    primitives, with nested circuits down to ``depth`` more levels."""
+    kinds = ["dense", "table", "oracle", "involution", "phase"]
+    kind = data.draw(st.sampled_from(kinds + ["nested"] * (depth > 0)))
+    if kind == "phase":
+        return GlobalPhase(data.draw(st.floats(-np.pi, np.pi)))
+    if kind == "dense":
+        k = data.draw(st.integers(1, min(3, width)))
+        return DenseGate(random_unitary(2 ** k, seed=data.draw(st.integers(0, 99))))
+    k = data.draw(st.integers(1, width))
+    if kind in ("table", "oracle"):
+        perm = data.draw(st.permutations(range(2 ** k)))
+        if kind == "table":
+            return PermutationGate(np.array(perm))
+        return OracleGate(np.array(perm),
+                          data.draw(st.sampled_from(ORACLE_NAMES)), counter)
+    if kind == "involution":
+        if 2 * k <= width and data.draw(st.booleans()):
+            return register_swap(k)
+        flip = data.draw(st.integers(0, 2 ** k - 1))
+        return FunctionalPermutation(k, lambda idx: idx ^ flip)
+    sub = _draw_circuit(data, k, depth - 1, counter)
+    if data.draw(st.booleans()):
+        return LazyCircuit(k, lambda: sub)
+    return sub
+
+
+def _draw_circuit(data, width, depth, counter):
+    circ = Circuit(RegisterLayout(("q", width)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = _draw_operator(data, width, depth, counter)
+        order = data.draw(st.permutations(range(width)))
+        free = order[op.width:]
+        n_ctrl = data.draw(st.integers(0, min(2, len(free))))
+        controls = [(q, data.draw(st.integers(0, 1))) for q in free[:n_ctrl]]
+        circ.append(op, qubits=order[:op.width], controls=controls,
+                    adjoint=data.draw(st.booleans()))
+    return circ
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_sparse_extraction_matches_dense_application(data):
+    # circuits of dense gates, permutation tables, oracle gates, functional
+    # involutions, global phases and nested (lazy) circuits under controls
+    # of either polarity and adjoints; a full-width dense gate in the middle
+    # spreads every column past the dense switch
+    counter = QueryCounter()
+    width = data.draw(st.integers(2, 6))
+    n_sys = data.draw(st.integers(1, width))
+    spread = data.draw(st.booleans())
+    circ = Circuit(RegisterLayout(("q", width)))
+    circ.append(_draw_circuit(data, width, 2, counter), on=["q"])
+    if spread:
+        circ.append(DenseGate(random_unitary(2 ** width, seed=width)), on=["q"])
+    circ.append(_draw_circuit(data, width, 2, counter), on=["q"])
+    dim = 2 ** n_sys
+
+    before = counter.snapshot()
+    with mock.patch.object(qstate, "_run", wraps=qstate._run) as dense_path:
+        sparse = extract_block(circ, n_sys)
+    sparse_hits = _tally_delta(before, counter.snapshot())
+    before = counter.snapshot()
+    columns = np.eye(2 ** width, dtype=np.complex128)[:, :dim]
+    dense = circ.apply_to_array(columns, width)[:dim]
+    dense_hits = _tally_delta(before, counter.snapshot())
+
+    assert np.max(np.abs(sparse - dense)) <= 1e-12
+    assert sparse_hits == dense_hits
+    if spread:
+        assert dense_path.called
+
+
+def _tally_delta(before, after):
+    return {name: after[name] - before[name] for name in after}
+
+
+def test_controlled_gate_on_a_real_array_keeps_the_phase():
+    u = np.diag([1j, -1j])
+    circ = Circuit(RegisterLayout(("c", 1), ("s", 1)))
+    circ.append(DenseGate(u), on=["s"], controls=[("c", 0)])
+    out = circ.apply_to_array(np.eye(4)[:, :2], 2)
+    assert np.array_equal(out[:2], u)
+
+
+def test_sparse_extraction_stays_sparse_on_permutations():
+    # permutations and controlled X gates never spread a column, so the
+    # dense path is never reached
+    layout = RegisterLayout(("a", 3), ("s", 3))
+    circ = Circuit(layout)
+    circ.append(PermutationGate(np.roll(np.arange(64), 5)), on=["a", "s"])
+    circ.append(x_gate(), on=[("a", 0, 1)], controls=[("s", 2)])
+    circ.append(register_swap(3), on=["a", "s"])
+    with mock.patch.object(qstate, "_run", wraps=qstate._run) as dense_path:
+        blk = extract_block(circ, 3)
+    assert not dense_path.called
+    dense = circ.apply_to_array(np.eye(64)[:, :8], 6)[:8]
+    assert np.array_equal(blk, dense)
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_extract_block_caps_refuse_before_allocating(monkeypatch, wide):
+    # past either cap nothing is built and nothing is allocated
+    def builder():
+        raise AssertionError("built past a cap")
+
+    if wide:
+        monkeypatch.setenv("HUBSIM_QUBIT_CAP", "20")
+        op, n_sys = LazyCircuit(40, builder), 2
+    else:
+        op, n_sys = LazyCircuit(14, builder), 13
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            extract_block(op, n_sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_residual_pieces_extract_over_their_support():
+    # at N=64 the pieces span 15-16 qubits; a dense pass over 2^16
+    # amplitudes per column took over 128 MB, their support needs well
+    # under 8 MB
+    graph = netgraph.generate(64, 2, 8, 2, rng_seed=3)
+    oracles = build_oracle_set(graph)
+    parts = netgraph.split(graph)
+    pieces = [(sparse_enc.encode_Aminus(oracles), parts.dense_a_minus()),
+              (sparse_enc.encode_Ar(oracles), parts.dense_a_r()),
+              (sparse_enc.encode_Ah(oracles), parts.dense_a_h())]
+    tracemalloc.start()
+    try:
+        blocks = [extract_block(be.unitary, be.n_sys) for be, _ in pieces]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    for blk, (be, target) in zip(blocks, pieces):
+        assert be.unitary.width >= 15
+        assert np.max(np.abs(be.alpha * blk - target)) <= 1e-10
+
+
+def test_spectral_norm_stops_at_a_non_finite_iterate():
+    mat = np.ones((64, 64))
+    mat[3, 5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(spectral_norm(mat))

@@ -46,6 +46,13 @@ def test_expm_non_hermitian_raises():
         refcheck.dense_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_expm_rejects_non_finite_t(t):
+    with pytest.raises(ParameterError, match="t must be finite"):
+        refcheck.dense_expm(np.eye(4), t)
+
+
 def test_rotated_hub_free_reduces_to_expm():
     g = netgraph.generate(8, 0, 2, 1, rng_seed=2)
     a = g.dense_adjacency().astype(np.complex128)
