@@ -15,7 +15,8 @@ Every register a constructor names is placed even when it is empty (an
 index register of one term, a bank of bare unitaries), so m = 0 needs no
 separate circuit.  The amplified circuit, L applications of the encoding
 for the odd degree L, is built on first use, never eagerly: the ``block``
-path does not need it, and materializing it checks the qubit cap.
+path does not need it, and building it allocates no amplitudes, so its
+gates and queries can be counted at any width.
 
 All encodings are immutable after construction and safe to share between
 threads.

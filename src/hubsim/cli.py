@@ -57,7 +57,8 @@ def _load_psi0(spec: str, dim: int) -> np.ndarray:
             raise ParameterError(
                 f"state file has {amps.shape[0]} amplitudes, need {dim}")
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-9:
+        # written so that a NaN norm fails too
+        if not abs(nrm - 1.0) <= 1e-9:
             raise ParameterError(f"state file norm {nrm:.6g} is not 1")
         return amps.astype(np.complex128)
     raise ParameterError(f"unknown psi0 spec {spec!r}")
@@ -156,6 +157,7 @@ def cmd_simulate(args) -> int:
     graph = netgraph.load_graph(args.graph)
     dim = 2 ** graph.n_qubits
     psi0 = _load_psi0(args.psi0, dim)
+    dyson.check_eps(args.eps)
 
     if args.method == "dense":
         dense_a = graph.dense_adjacency().astype(np.complex128)

@@ -33,8 +33,9 @@ both tiers.  Combined blocks follow the exact composition rules for
 disjoint ancilla banks, so no full-width state is ever materialized.  The
 composite circuits (the select cascade, the dressed residual, the segment)
 carry complete register bookkeeping but are built on first use, never
-eagerly, and raise a resource error if someone tries to run one past the
-qubit cap.
+eagerly.  Building one allocates no amplitudes, so any of them can be
+counted (``gate_count``, ``query_profile``) at any width; running one
+through ``extract_block`` past the qubit cap raises a resource error.
 """
 
 from __future__ import annotations
@@ -100,14 +101,22 @@ class DysonConfig:
             raise ConfigurationError("eps_segment must be finite and positive")
 
 
+def check_eps(eps: float) -> None:
+    """Raise ``ParameterError`` unless eps is finite and positive."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"eps must be finite and positive, got {eps}")
+
+
 def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
     """Segment schedule for evolving time t within eps: tau = min(t,
     1/(2 alpha2)) with budget eps_segment = eps tau / t (eps when one
     segment covers t); K the smallest order whose tail bound clears half
     that budget; D the grid bound 2 (alpha1 + alpha2) tau / eps_segment,
-    rounded up to a power of two.  t must be finite and positive."""
+    rounded up to a power of two.  t and eps must be finite and
+    positive."""
     if not (math.isfinite(t) and t > 0):
         raise ParameterError(f"no segment to schedule for t={t}")
+    check_eps(eps)
     alpha1, alpha2 = evolution_scales(graph)
     tau = min(t, 1.0 / (2.0 * alpha2))
     # eps itself when one segment covers t: eps * t / t can round
@@ -613,8 +622,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     every leaf from its circuit, "classical-ff" substitutes the verified
     dense forms.  The rotation applies that source's exp(-iG tau) block.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ParameterError(f"eps must be finite and positive, got {eps}")
+    check_eps(eps)
     if not (math.isfinite(t) and t >= 0):
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
     leaves = LeafBlocks(graph, method, oracle_set)
@@ -622,7 +630,8 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     dim = 2 ** graph.n_qubits
     if psi.shape != (dim,):
         raise ParameterError(f"psi0 must have length {dim}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    # written so that a NaN norm fails too
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ParameterError("psi0 must be normalized")
     alpha1, alpha2 = evolution_scales(graph)
 

@@ -9,11 +9,18 @@ always holds.  A state over w qubits is a complex vector of length 2**w;
 qubit axis 0 is the most significant bit.
 
 Operators are never stored as dense matrices over the full space.  They
-are either small primitives (dense gates on a few qubits, permutations of
-basis states, a global phase) or circuits composing primitives on named
-registers, with optional per-step controls (any qubit, either polarity).
-Applying an operator streams over the amplitude array one primitive at a
-time, so the cost is a handful of full-array passes per primitive.
+are either small primitives (dense gates on a few qubits, a Hadamard layer
+applied axis by axis, permutations of basis states, a global phase) or
+circuits composing primitives on named registers, with optional per-step
+controls (any qubit, either polarity).  Applying an operator streams over
+the amplitude array one primitive at a time, so the cost is a handful of
+full-array passes per primitive.
+
+Building a description allocates no amplitudes, whatever its width, so
+nothing caps it; the caps sit in ``extract_block``, which does allocate.
+``gate_count`` and ``query_profile`` follow the composition: a primitive
+counts one gate (and one query when it is an oracle), a circuit sums its
+steps, and an operator shared by many steps is counted once per count.
 
 The one entry point is `LinearOperator.apply_to_array`, which runs an
 operator on a batch of amplitude columns over its full width.
@@ -32,6 +39,7 @@ safe for concurrent reads; the input array is never modified.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +57,8 @@ _DENSE_SWITCH = 1 / 32
 
 
 def qubit_cap() -> int:
-    """Simulation-width cap; override with env var HUBSIM_QUBIT_CAP."""
+    """Widest operator ``extract_block`` runs; override with env var
+    HUBSIM_QUBIT_CAP."""
     raw = os.environ.get("HUBSIM_QUBIT_CAP", "")
     if raw:
         try:
@@ -67,8 +76,8 @@ class Register:
 
 class RegisterLayout:
     """Ordered named registers.  A layout allocates nothing, so its width
-    is not capped; ``extract_block`` and ``LazyCircuit.materialize`` check
-    the widths they would allocate for.
+    is not capped; ``extract_block`` checks the width it would allocate
+    for.
 
     A register may be empty (width 0): it has no axes, and a control
     ``(name, 0)`` on it always holds, so a builder places its registers
@@ -132,7 +141,10 @@ class LinearOperator:
 
     Subclasses set ``width`` and implement ``_instructions(qmap, controls,
     adjoint)`` yielding (primitive, axes, controls, adjoint) tuples with
-    global qubit positions.
+    global qubit positions, and ``_counts(memo)`` giving (gates, oracle
+    queries) of one application; ``memo`` maps id(operator) to its counts
+    for the span of one count, so a shared part is counted once.
+    Controls and adjoints change neither count.
     """
 
     width: int = 0
@@ -149,16 +161,11 @@ class LinearOperator:
         return _run(arr, width, self._instructions(tuple(range(width)), (), adjoint))
 
     def gate_count(self) -> int:
-        return sum(1 for _ in self._instructions(tuple(range(self.width)), (), False))
+        return self._counts({})[0]
 
     def query_profile(self) -> dict[str, int]:
         """Oracle applications per single application of this operator."""
-        profile: dict[str, int] = {}
-        for prim, _, _, _ in self._instructions(tuple(range(self.width)), (), False):
-            name = getattr(prim, "oracle_name", None)
-            if name:
-                profile[name] = profile.get(name, 0) + 1
-        return profile
+        return dict(self._counts({})[1])
 
 
 def _expand_controls(layout: RegisterLayout, controls):
@@ -188,6 +195,10 @@ class Operation(LinearOperator):
 
     def _instructions(self, qmap, controls, adjoint):
         yield (self, tuple(qmap), controls, adjoint)
+
+    def _counts(self, memo):
+        name = getattr(self, "oracle_name", None)
+        return 1, {name: 1} if name else {}
 
 
 class DenseGate(Operation):
@@ -272,15 +283,33 @@ def register_swap(k: int) -> FunctionalPermutation:
     return FunctionalPermutation(2 * k, fn, label=f"swap{k}")
 
 
-_H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def hadamard_layer(k: int) -> DenseGate:
-    mat = np.array([[1.0]])
-    for _ in range(k):
-        mat = np.kron(mat, _H1)
-    return DenseGate(mat, label=f"H^{k}")
+class _HadamardLayer(Operation):
+    """H on each of its qubits, one butterfly pass per axis: O(k 2^k) per
+    column and no 2^k x 2^k matrix.  H is real and symmetric, so the
+    adjoint is the same map."""
+
+    def act(self, block, adjoint):
+        out = np.array(block, dtype=np.complex128, order="C")
+        # (1/sqrt 2)^k multiplied up factor by factor, as np.kron forms the
+        # entries of H^(x)k, so a basis column comes out as that column
+        scale = 1.0
+        for axis in range(self.width):
+            pair = out.reshape(2 ** axis, 2, -1)
+            top = pair[:, 0] + pair[:, 1]
+            pair[:, 1] = pair[:, 0] - pair[:, 1]
+            pair[:, 0] = top
+            scale *= _INV_SQRT2
+        out *= scale
+        return out
+
+
+def hadamard_layer(k: int) -> Operation:
+    """H^{(x)k} as one gate over k qubits."""
+    return _HadamardLayer(k, label=f"H^{k}")
 
 
 def x_gate() -> DenseGate:
@@ -357,14 +386,25 @@ class Circuit(LinearOperator):
             ctrl = controls + tuple((qmap[q], b) for q, b in step.controls)
             yield from step.op._instructions(axes, ctrl, adjoint ^ step.adjoint)
 
+    def _counts(self, memo):
+        if id(self) not in memo:
+            gates, profile = 0, Counter()
+            for step in self.steps:
+                step_gates, step_profile = step.op._counts(memo)
+                gates += step_gates
+                profile.update(step_profile)
+            memo[id(self)] = gates, profile
+        return memo[id(self)]
+
 
 class LazyCircuit(LinearOperator):
     """Circuit built on first use.
 
     Wide compositions (for example the assembled evolution over many time
-    registers) are described structurally; materializing them checks the
-    qubit cap, since a description can hold dense gates over many qubits,
-    and fails with a resource error named by ``label``.
+    registers) are described structurally.  Building one allocates no
+    amplitudes, so its width is not capped: counting its gates builds it,
+    and only ``extract_block`` refuses a width past the qubit cap.  The
+    built circuit must span the declared width.
     """
 
     def __init__(self, width: int, builder, label: str = "lazy"):
@@ -375,11 +415,6 @@ class LazyCircuit(LinearOperator):
 
     def materialize(self) -> LinearOperator:
         if self._built is None:
-            cap = qubit_cap()
-            if self.width > cap:
-                raise ResourceError(
-                    f"stage {self.label!r} needs {self.width} qubits, cap is {cap}",
-                    stage=self.label)
             built = self._builder()
             if built.width != self.width:
                 raise RegisterError(
@@ -390,6 +425,9 @@ class LazyCircuit(LinearOperator):
 
     def _instructions(self, qmap, controls, adjoint):
         return self.materialize()._instructions(qmap, controls, adjoint)
+
+    def _counts(self, memo):
+        return self.materialize()._counts(memo)
 
 
 # -- application engine ------------------------------------------------------

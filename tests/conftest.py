@@ -74,3 +74,16 @@ def random_graph_params():
         (8, 2, 4, 2), (8, 1, 2, 2), (8, 0, 2, 1), (16, 2, 4, 2),
         (16, 4, 4, 4), (32, 2, 8, 4), (64, 2, 8, 2), (64, 4, 8, 4),
     ]
+
+
+def flat_counts(op):
+    """(gates, oracle queries) of one application of ``op``, walking its
+    flattened primitive stream: the reference for the compositional
+    ``gate_count`` and ``query_profile``."""
+    gates, profile = 0, {}
+    for prim, _, _, _ in op._instructions(tuple(range(op.width)), (), False):
+        gates += 1
+        name = getattr(prim, "oracle_name", None)
+        if name:
+            profile[name] = profile.get(name, 0) + 1
+    return gates, profile

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hubsim import dyson, netgraph
+from hubsim import dyson, netgraph, refcheck
 from hubsim.cli import main
 
 
@@ -175,6 +175,30 @@ def test_simulate_bad_psi0_exits_2(graph_file, tmp_path):
         assert run_cli("simulate", graph_file, *time_eps,
                        "--method", "classical-ff",
                        "-o", str(tmp_path / "r.json")) == 2
+
+
+@pytest.mark.parametrize("method", ["dense", "classical-ff", "circuit"])
+def test_simulate_refuses_bad_input_before_solving(graph_file, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   method):
+    # a NaN amplitude and a bad eps exit 2 with the check's own message,
+    # before either the solve or the dense reference runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a rejected input")
+
+    monkeypatch.setattr(dyson, "simulate_full", refuse)
+    monkeypatch.setattr(refcheck, "dense_expm", refuse)
+    out = str(tmp_path / "r.json")
+    nan_state = tmp_path / "nan_state.json"
+    nan_state.write_text(json.dumps(
+        {"amplitudes": [[float("nan"), 0.0]] + [[0.0, 0.0]] * 7}))
+    assert run_cli("simulate", graph_file, "--t", "1", "--method", method,
+                   "--check", "--psi0", f"file:{nan_state}", "-o", out) == 2
+    assert "state file norm nan is not 1" in capsys.readouterr().err
+    for eps in ("0", "-1", "nan"):
+        assert run_cli("simulate", graph_file, "--t", "1", "--eps", eps,
+                       "--method", method, "--check", "-o", out) == 2
+        assert "eps must be finite and positive" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(graph_file):

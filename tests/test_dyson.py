@@ -1,10 +1,12 @@
 import importlib
 import itertools
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_graph_params
+from conftest import flat_counts, random_graph_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,7 @@ from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
-from hubsim.qstate import extract_block, spectral_norm
+from hubsim.qstate import LazyCircuit, extract_block, spectral_norm
 
 
 def exact_segment_propagator(graph, tau):
@@ -51,6 +53,9 @@ def test_default_config_schedule(dg8):
     for t in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError):
             default_config(dg8, t, 1e-3)
+    for eps in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ParameterError):
+            default_config(dg8, 1.0, eps)
 
 
 def test_selectg_d0_identity(dg8):
@@ -132,12 +137,11 @@ def test_dressed_blocks_unitarily_similar(dg8):
         assert np.max(np.abs(evals - base)) < 1e-9
 
 
-def test_dressed_register_bookkeeping(dg8, monkeypatch):
+def test_dressed_register_bookkeeping(dg8):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-6)
     assert dr.alpha == 8.0
     assert dr.m == 16 + (3 + 6)  # two cascade banks + residual ancillas
     # the circuit: cascade on cga, residual on h2bank, cascade^dag on cgb
-    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     circ = dr.unitary.materialize()
     assert circ.width == dr.m + dr.n_sys == 30
     assert [s.op.label for s in circ.steps] == ["select_g", "lcu", "select_g"]
@@ -303,33 +307,42 @@ def test_segment_tiers_agree(dg8):
 
 
 def test_segment_unitary_is_resource_guarded(dg8):
+    # running the segment would allocate 2^width amplitudes per column:
+    # extraction refuses it before the circuit is built or anything is
+    # allocated
     cfg = DysonConfig(1.0 / 16.0, 64, 4, 1e-3)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
     assert seg.unitary.width == seg.m + 3
-    with pytest.raises(ResourceError) as err:
-        seg.unitary.materialize()
-    assert "dyson_segment" in str(err.value)
+    refuse = AssertionError("built past the qubit cap")
+    with mock.patch.object(LazyCircuit, "materialize", side_effect=refuse):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError) as err:
+                extract_block(seg.unitary, seg.n_sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert err.value.stage == "extract_block"
+    assert peak < 2 ** 20
 
 
-def test_segment_circuit_constructs_under_raised_cap(dg8, monkeypatch):
+def test_segment_circuit_constructs(dg8):
     # the assembled circuit is never runnable at default widths, but its
     # structural construction must be sound
     cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
-    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     circ = seg.unitary.materialize()
     assert circ.width == seg.m + 3
     assert len(circ.steps) > 4
 
 
-def test_segment_index_maps_are_involutions(dg8, monkeypatch):
+def test_segment_index_maps_are_involutions(dg8):
     # FunctionalPermutation is its own adjoint only for an involution
     cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
-    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     maps = {s.op.label: s.op for s in seg.unitary.materialize().steps
             if s.op.label in ("bank_flag", "order_test")}
     assert maps["bank_flag"].width == 26
@@ -340,13 +353,41 @@ def test_segment_index_maps_are_involutions(dg8, monkeypatch):
 
 
 @pytest.mark.parametrize("big_k", [0, 1, 3])
-def test_segment_width_matches_materialized_circuit(dg8, monkeypatch,
-                                                    big_k):
+def test_segment_width_matches_materialized_circuit(dg8, big_k):
     cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
-    monkeypatch.setenv("HUBSIM_QUBIT_CAP", "64")
     assert seg.unitary.materialize().width == seg.m + 3
+
+
+def test_segment_counts_follow_composition(dg8):
+    # D=4, K=2 is small enough to walk the flattened primitive stream
+    cfg = DysonConfig(1.0 / 16.0, 4, 2, 1e-1)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
+    amp = fixed_point_aa(seg, 0.5)
+    assert seg.gate_count() == 31069
+    for be in (seg, amp):
+        assert (be.gate_count(), be.query_profile()) == flat_counts(be.unitary)
+
+
+def test_amplified_segment_counts_without_allocating(dg8):
+    # dg8's t=1, eps=1e-3 schedule: the amplified segment spans 184
+    # qubits and runs 2.5e8 primitives; counting builds every description
+    # and runs none
+    cfg = default_config(dg8, 1.0, 1e-3)
+    amp = fixed_point_aa(dyson.dyson_segment(LeafBlocks(dg8), cfg), 6.25e-6)
+    tracemalloc.start()
+    try:
+        profile = amp.query_profile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert (amp.unitary.width, amp.aa_degree) == (184, 27)
+    assert amp.gate_count() == 247111666
+    assert profile == {"O_K": 32962950, "O_H": 32953230, "O_A": 7290,
+                       "O_L": 2430, "O_Z": 2430}
 
 
 def test_segment_amplification(dg8):
@@ -419,6 +460,13 @@ def test_simulate_input_validation(dg8):
     for t in (float("inf"), float("nan")):
         with pytest.raises(ParameterError):
             dyson.simulate_full(dg8, t, 1e-3, good)
+    # a NaN amplitude makes the norm NaN, which no tolerance test passes
+    nan_state = good.copy()
+    nan_state[1] = np.nan
+    for method, t in itertools.product(("circuit", "classical-ff"),
+                                       (0.0, 0.1)):
+        with pytest.raises(ParameterError):
+            dyson.simulate_full(dg8, t, 1e-2, nan_state, method=method)
 
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])

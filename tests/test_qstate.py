@@ -1,10 +1,13 @@
+import functools
+import itertools
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import basis_state, random_state, random_unitary, run
+from conftest import (basis_state, flat_counts, random_state,
+                      random_unitary, run)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,43 @@ def test_hadamard_layer_uniform():
     circ = Circuit(layout).append(hadamard_layer(3), on=["r"])
     out = run(circ, basis_state(layout))
     assert np.allclose(out, np.full(8, 1 / np.sqrt(8)))
+
+
+_H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hadamard_layer_matches_the_kron_form(k):
+    # plain and adjoint, uncontrolled and controlled on either polarity,
+    # through both extraction and dense application
+    kron = functools.reduce(np.kron, [_H1] * k)
+    eye = np.eye(2 ** k)
+    zero = np.zeros((2 ** k, 2 ** k))
+    for control, adjoint in itertools.product((None, 0, 1), (False, True)):
+        layout = RegisterLayout(("c", 1), ("s", k))
+        circ = Circuit(layout)
+        controls = [] if control is None else [("c", control)]
+        circ.append(hadamard_layer(k), on=["s"], controls=controls,
+                    adjoint=adjoint)
+        target = {None: np.block([[kron, zero], [zero, kron]]),
+                  0: np.block([[kron, zero], [zero, eye]]),
+                  1: np.block([[eye, zero], [zero, kron]])}[control]
+        dim = 2 ** (k + 1)
+        applied = circ.apply_to_array(np.eye(dim), k + 1, adjoint=adjoint)
+        assert np.max(np.abs(extract_block(circ, k + 1) - target)) <= 1e-15
+        assert np.max(np.abs(applied - target)) <= 1e-15
+
+
+def test_hadamard_layer_allocates_no_matrix():
+    # as a dense gate, 15 qubits would be a 2^15 x 2^15 matrix of 16 GiB
+    tracemalloc.start()
+    try:
+        layer = hadamard_layer(15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert (layer.width, layer.gate_count()) == (15, 1)
 
 
 def test_identity_circuit_unchanged():
@@ -231,7 +271,7 @@ def test_qubit_cap_env(monkeypatch):
 def _draw_operator(data, width, depth, counter):
     """A random operator over ``width`` qubits from the package's
     primitives, with nested circuits down to ``depth`` more levels."""
-    kinds = ["dense", "table", "oracle", "involution", "phase"]
+    kinds = ["dense", "hadamard", "table", "oracle", "involution", "phase"]
     kind = data.draw(st.sampled_from(kinds + ["nested"] * (depth > 0)))
     if kind == "phase":
         return GlobalPhase(data.draw(st.floats(-np.pi, np.pi)))
@@ -239,6 +279,8 @@ def _draw_operator(data, width, depth, counter):
         k = data.draw(st.integers(1, min(3, width)))
         return DenseGate(random_unitary(2 ** k, seed=data.draw(st.integers(0, 99))))
     k = data.draw(st.integers(1, width))
+    if kind == "hadamard":
+        return hadamard_layer(k)
     if kind in ("table", "oracle"):
         perm = data.draw(st.permutations(range(2 ** k)))
         if kind == "table":
@@ -300,6 +342,21 @@ def test_sparse_extraction_matches_dense_application(data):
     assert sparse_hits == dense_hits
     if spread:
         assert dense_path.called
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_counts_follow_composition(data):
+    # one part appears twice, once as its adjoint, so the per-count memo
+    # is hit; controls, adjoints and lazy parts inside the drawn circuits
+    counter = QueryCounter()
+    width = data.draw(st.integers(2, 6))
+    part = _draw_circuit(data, width, 2, counter)
+    circ = Circuit(RegisterLayout(("q", width)))
+    circ.append(part, on=["q"])
+    circ.append(_draw_circuit(data, width, 2, counter), on=["q"])
+    circ.append(part, on=["q"], adjoint=True)
+    assert (circ.gate_count(), circ.query_profile()) == flat_counts(circ)
 
 
 def _tally_delta(before, after):
