@@ -21,6 +21,14 @@ lower half conjugated by one bit evolution.  That turns the D-point sums
 into log2(D) merge steps of (K+1)(K+2)/2 matmuls each; the bit evolutions
 are checked to commute before the merge.
 
+The segment circuit holds the order k in unary: K qubits, of which order k
+sets the first k.  A chain of K two-level rotations, each controlled on the
+qubit before it, prepares amplitude sqrt((tau alpha2)^k / lambda) on order
+k, and one phase gate per qubit supplies (-i)^k.  Time slot j runs once,
+under the single control kidx[j-1]: its Hadamard pair, its dressed
+residual and the order test against the slot before it, so a segment
+applies the residual K times.
+
 Every Dyson object is built from two leaf encodings, exp(-iGt) and the
 residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
@@ -54,7 +62,8 @@ from .ffhub import (build_expG, classical_expG_apply, expG_bundle,
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
 from .qstate import (Circuit, DenseGate, FunctionalPermutation, LazyCircuit,
-                     RegisterLayout, check_dense_block, hadamard_layer)
+                     RegisterLayout, check_dense_block, hadamard_layer,
+                     phase1_gate)
 from .sparse_enc import encode_H2
 
 
@@ -228,13 +237,16 @@ class SelectGEncoding(BlockEncoding):
     """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
 
     D = 2^len(bit_blocks), and the ancillas are the qubits of the unitary
-    beyond the log2(D) + n system qubits.  Subclasses change only ``_at``,
-    the block at one grid point as a function of its evolution E(d)."""
+    beyond the log2(D) + n system qubits.  ``unit_eps`` is the error each
+    grid evolution of the cascade was built to.  Subclasses change only
+    ``_at``, the block at one grid point as a function of its evolution
+    E(d)."""
 
     stage = "select_g"
 
-    def __init__(self, unitary, bit_blocks, eps, alpha=1.0):
+    def __init__(self, unitary, bit_blocks, eps, unit_eps, alpha=1.0):
         self.bit_blocks = bit_blocks
+        self.unit_eps = unit_eps
         self.big_d = 2 ** len(bit_blocks)
         self._dim = bit_blocks[0].shape[0]
         n_sys = len(bit_blocks) + int(math.log2(self._dim))
@@ -294,7 +306,7 @@ def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
         return circ
 
     unitary = LazyCircuit(8 + log_d + n, build_circuit, label="select_g")
-    return SelectGEncoding(unitary, bit_blocks, eps)
+    return SelectGEncoding(unitary, bit_blocks, eps, eps_unit)
 
 
 class DressedResidualEncoding(SelectGEncoding):
@@ -302,9 +314,10 @@ class DressedResidualEncoding(SelectGEncoding):
 
     stage = "dressed_h2"
 
-    def __init__(self, unitary, bit_blocks, h2_block, alpha2, eps):
+    def __init__(self, unitary, select, h2_block, alpha2, eps):
         self.h2_norm_block = h2_block
-        super().__init__(unitary, bit_blocks, eps, alpha=alpha2)
+        super().__init__(unitary, select.bit_blocks, eps, select.unit_eps,
+                         alpha=alpha2)
 
     def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d.conj().T @ self.h2_norm_block @ e_d
@@ -339,8 +352,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
 
     unitary = LazyCircuit(16 + m_h2 + log_d + n, build_circuit,
                           label="dressed_h2")
-    return DressedResidualEncoding(unitary, select.bit_blocks, h2_block,
-                                   alpha2, eps)
+    return DressedResidualEncoding(unitary, select, h2_block, alpha2, eps)
 
 
 # -- segment assembly ----------------------------------------------------------
@@ -404,83 +416,98 @@ def _ordered_series_totals(bit_blocks, h2_block: np.ndarray,
 def _segment_registers(big_k: int, log_d: int, m_bank: int,
                        n: int) -> list[tuple[str, int]]:
     """Register list of the assembled segment circuit, ancillas first and
-    the system register last.  The flag banks hold one qubit per boundary
-    between adjacent time slots; at K = 0 the order index is empty too."""
+    the system register last.  The order index is unary, one qubit per
+    time slot; the flag banks hold one qubit per boundary between adjacent
+    time slots."""
     n_flags = max(0, big_k - 1)
-    return ([("kidx", big_k.bit_length())]
+    return ([("kidx", big_k)]
             + [(f"t{j}", log_d) for j in range(1, big_k + 1)]
             + [("pflag", n_flags), ("oflag", n_flags),
                ("bank", m_bank), ("sys", n)])
 
 
 def _build_segment_circuit(graph, config, dressed):
-    """Honest assembled segment circuit: order-index prepare, per-slot time
-    registers with ordering tests, shared-bank dressed applications with
-    carry flags, and the unprepare.  Construction only; running it needs a
-    width far past any sensible cap."""
+    """Honest assembled segment circuit: unary order-index prepare with the
+    (-i)^k phases, per-slot time registers with ordering tests, one
+    shared-bank dressed application per slot with carry flags, and the
+    unprepare.  Order k sets the first k qubits of ``kidx``, so slot j runs
+    under the single control kidx[j-1] = 1.  Construction only; running it
+    needs a width far past any sensible cap."""
     n = graph.n_qubits
     big_k, big_d = config.big_k, config.big_d
     log_d = int(math.log2(big_d))
     layout = RegisterLayout(*_segment_registers(big_k, log_d, dressed.m, n))
     circ = Circuit(layout, label="dyson_segment")
-    kw = layout.reg_width("kidx")
-
-    weights = [(-1j * config.tau * dressed.alpha) ** k
-               for k in range(big_k + 1)]
-    col = np.zeros(2 ** kw, dtype=np.complex128)
-    col[:len(weights)] = np.sqrt(np.asarray(weights)
-                                 / np.sum(np.abs(weights)))
-    circ.append(DenseGate(unitary_with_first_column(col), label="prep_k"),
-                on=["kidx"])
+    kidx = layout.axes("kidx")
     bank = list(layout.axes("bank"))
-    bank_w = len(bank)
 
-    def bank_flag_gate():
+    # gate j splits order j-1 from the orders >= j: amplitude of order k
+    # is sqrt(w_k / sum w), with w_k = (tau alpha)^k
+    weights = [(config.tau * dressed.alpha) ** k for k in range(big_k + 1)]
+    prep = Circuit(RegisterLayout(("kidx", big_k)), label="prep_k")
+    for j in range(1, big_k + 1):
+        col = np.sqrt([weights[j - 1], sum(weights[j:])])
+        prep.append(DenseGate(unitary_with_first_column(col), label="prep_k"),
+                    qubits=[j - 1],
+                    controls=[(j - 2, 1)] if j > 1 else ())
+    circ.append(prep, on=["kidx"])
+    minus_i = phase1_gate(-0.5 * math.pi)  # (-i)^k over the k set qubits
+    for axis in kidx:
+        circ.append(minus_i, qubits=[axis])
+
+    def flag_bank(idx):
         # flips the flag qubit unless the shared bank reads all-zero
-        def fn(idx):
-            bank_val = idx >> 1
-            return np.where(bank_val == 0, idx, idx ^ 1)
-        return FunctionalPermutation(bank_w + 1, fn, label="bank_flag")
+        return np.where(idx >> 1 == 0, idx, idx ^ 1)
 
-    def order_gate():
-        mask = (1 << log_d) - 1
+    def flag_disorder(idx):
+        # flips the flag qubit when the earlier slot's time exceeds the
+        # later slot's
+        earlier = idx >> (log_d + 1)
+        later = (idx >> 1) & ((1 << log_d) - 1)
+        return np.where(earlier > later, idx ^ 1, idx)
 
-        def fn(idx):
-            a = idx >> (log_d + 1)
-            b = (idx >> 1) & mask
-            return np.where(a > b, idx ^ 1, idx)
-        return FunctionalPermutation(2 * log_d + 1, fn, label="order_test")
+    bank_flag = FunctionalPermutation(len(bank) + 1, flag_bank,
+                                      label="bank_flag")
+    order_test = FunctionalPermutation(2 * log_d + 1, flag_disorder,
+                                       label="order_test")
+    hadamards = hadamard_layer(log_d)
+    slot_on = [[(axis, 1)] for axis in kidx]
 
     for j in range(1, big_k + 1):
-        for k_val in range(j, big_k + 1):
-            circ.append(hadamard_layer(log_d), on=[f"t{j}"],
-                        controls=[("kidx", k_val)])
+        circ.append(hadamards, on=[f"t{j}"], controls=slot_on[j - 1])
     for j in range(1, big_k + 1):
-        for k_val in range(j, big_k + 1):
-            circ.append(dressed.unitary,
-                        qubits=bank + list(layout.axes(f"t{j}"))
-                        + list(layout.axes("sys")),
-                        controls=[("kidx", k_val)])
+        circ.append(dressed.unitary,
+                    qubits=bank + list(layout.axes(f"t{j}"))
+                    + list(layout.axes("sys")),
+                    controls=slot_on[j - 1])
         if j < big_k:
-            flag_axis = layout.axes("pflag")[j - 1]
-            circ.append(bank_flag_gate(), qubits=bank + [flag_axis])
-            oflag_axis = layout.axes("oflag")[j - 1]
-            for k_val in range(j + 1, big_k + 1):
-                circ.append(order_gate(),
-                            qubits=list(layout.axes(f"t{j}"))
-                            + list(layout.axes(f"t{j + 1}")) + [oflag_axis],
-                            controls=[("kidx", k_val)])
+            circ.append(bank_flag,
+                        qubits=bank + [layout.axes("pflag")[j - 1]])
+            # orders below j + 1 leave t{j+1} at zero: no test
+            circ.append(order_test,
+                        qubits=list(layout.axes(f"t{j}"))
+                        + list(layout.axes(f"t{j + 1}"))
+                        + [layout.axes("oflag")[j - 1]],
+                        controls=slot_on[j])
     for j in range(1, big_k + 1):
-        for k_val in range(j, big_k + 1):
-            circ.append(hadamard_layer(log_d), on=[f"t{j}"],
-                        controls=[("kidx", k_val)])
-    circ.append(DenseGate(unitary_with_first_column(np.conj(col)),
-                          label="unprep_k"), on=["kidx"], adjoint=True)
+        circ.append(hadamards, on=[f"t{j}"], controls=slot_on[j - 1])
+    circ.append(prep, on=["kidx"], adjoint=True)
     return circ
 
 
 class _SegmentEncoding(BlockEncoding):
-    """Segment encoding whose block is its own truncated series."""
+    """Segment encoding whose block is its own truncated series.  It keeps
+    its schedule, the per-order totals, the residual's factor alpha2 and
+    the degree each grid evolution of its cascades is amplified to."""
+
+    def __init__(self, unitary, lam, m, n, config, series_totals, alpha2,
+                 grid_degree):
+        super().__init__(unitary, lam, m, n, eps=config.eps_segment,
+                         label="dyson_segment")
+        self.config = config
+        self.series_totals = series_totals
+        self.alpha2_enc = alpha2
+        self.grid_degree = grid_degree
 
     def _full_block(self) -> np.ndarray:
         return segment_block_at_order(self, self.config.big_k) / self.alpha
@@ -491,7 +518,9 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
     """Block encoding of the rotated-frame segment propagator over [0, tau].
 
     The combination factor is sum_k (alpha2 tau)^k; with tau = 1/(2 alpha2)
-    it stays below 2, which keeps the final amplification cheap.  Raises a
+    it stays below 2, which keeps the final amplification cheap.  The
+    circuit, built on first use, applies the dressed residual once per time
+    slot under its unary order qubit (see the module docstring).  Raises a
     configuration error when the truncation or grid bounds cannot reach the
     per-segment budget.
     """
@@ -527,12 +556,9 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
     unitary = LazyCircuit(
         m_seg + n, lambda: _build_segment_circuit(graph, config, dressed),
         label="dyson_segment")
-    be = _SegmentEncoding(unitary, lam, m_seg, n, eps=eps_seg,
-                          label="dyson_segment")
-    be.config = config
-    be.series_totals = totals
-    be.alpha2_enc = dressed.alpha
-    return be
+    return _SegmentEncoding(unitary, lam, m_seg, n, config, totals,
+                            dressed.alpha,
+                            _expg_degree(graph, dressed.unit_eps))
 
 
 def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
@@ -551,6 +577,14 @@ def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
 
 
 # -- end-to-end pipeline -------------------------------------------------------
+
+
+def _expg_degree(graph: HubSparseGraph, eps: float) -> int:
+    """Amplification degree of an exp(-iGt) encoding built to eps: that of
+    its (2 beta + 1)-factor combination; 0 without hubs."""
+    if not graph.m_hubs:
+        return 0
+    return amplification_degree(2.0 * hub_block_factor(graph) + 1.0, eps)
 
 
 def _merge_profiles(*scaled):
@@ -656,11 +690,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     queries: dict[str, int] = {}
     segments = 0
 
-    if graph.m_hubs:
-        l_expg = amplification_degree(2.0 * hub_block_factor(graph) + 1.0,
-                                      eps_g)
-    else:
-        l_expg = 0
+    l_expg = _expg_degree(graph, eps_g)
 
     def run_piece(length: float, piece_cfg: DysonConfig, count: int):
         nonlocal psi, expg_stage, expg_grid, queries, segments
@@ -671,7 +701,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         l_seg = amplified.aa_degree
         # the length-tau rotation stage runs once per segment; the grid
         # cascade fires 2 K log2(D) length-(tau 2^j / D) evolutions per
-        # reflection of the segment oracle
+        # reflection of the segment oracle, each at the cascade's degree
         per_seg_grid = l_seg * 2 * piece_cfg.big_k * log_d
         for _ in range(count):
             psi = g_block @ amplified.apply_block(psi)
@@ -680,9 +710,10 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
             expg_grid += per_seg_grid
         queries = _merge_profiles(
             (queries, 1),
-            (_structural_oracle_profile(graph, l_expg,
-                                        (per_seg_grid + 1) * count,
-                                        l_seg * piece_cfg.big_k * count), 1))
+            (_structural_oracle_profile(graph, seg_be.grid_degree,
+                                        per_seg_grid * count,
+                                        l_seg * piece_cfg.big_k * count), 1),
+            (_structural_oracle_profile(graph, l_expg, count, 0), 1))
 
     run_piece(tau, cfg, n_full)
     if t_frac > 0.0:

@@ -30,8 +30,23 @@ def is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
 
+class _HubLinks:
+    """Hub mask and dense link matrix G of a class with ``n_nodes`` and
+    ``hubs`` fields."""
+
+    def hub_mask(self) -> np.ndarray:
+        mask = np.zeros(self.n_nodes, dtype=bool)
+        mask[list(self.hubs)] = True
+        return mask
+
+    def dense_link_matrix(self) -> np.ndarray:
+        """Dense G: ones exactly where one endpoint is a hub and one is not."""
+        mask = self.hub_mask()
+        return (mask[:, None] ^ mask[None, :]).astype(np.int64)
+
+
 @dataclass(frozen=True)
-class HubSparseGraph:
+class HubSparseGraph(_HubLinks):
     """Immutable hub-sparse graph.
 
     ``adj`` holds one ascending-sorted neighbor tuple per node; ``hubs`` is
@@ -87,21 +102,9 @@ class HubSparseGraph:
             a[v, u] = 1
         return a
 
-    def dense_link_matrix(self) -> np.ndarray:
-        """Dense G: ones exactly where one endpoint is a hub and one is not."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[list(self.hubs)] = True
-        g = (mask[:, None] ^ mask[None, :]).astype(np.int64)
-        return g
-
-    def hub_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[list(self.hubs)] = True
-        return mask
-
 
 @dataclass(frozen=True)
-class GraphSplit:
+class GraphSplit(_HubLinks):
     """Edge-set decomposition A = G - A_minus + A_hub + A_reg.
 
     ``a_minus`` pairs are stored (hub, regular); ``a_h`` and ``a_r`` pairs
@@ -129,11 +132,6 @@ class GraphSplit:
 
     def dense_a_r(self) -> np.ndarray:
         return self._dense_from(self.a_r)
-
-    def dense_link_matrix(self) -> np.ndarray:
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[list(self.hubs)] = True
-        return (mask[:, None] ^ mask[None, :]).astype(np.int64)
 
     def reconstruct(self) -> np.ndarray:
         """Dense G - A_minus + A_hub + A_reg (integer arithmetic)."""

@@ -1,7 +1,9 @@
 import importlib
 import itertools
 import tracemalloc
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
-from hubsim.qstate import LazyCircuit, extract_block, spectral_norm
+from hubsim.qstate import DenseGate, LazyCircuit, extract_block, spectral_norm
 
 
 def exact_segment_propagator(graph, tau):
@@ -282,7 +284,9 @@ def test_segment_alpha_and_ancillas(dg8):
                               check_budget=False)
     assert seg.alpha == pytest.approx(sum(0.5 ** k for k in range(5)))
     log_d = 6
-    expected_m = 3 + 4 * log_d + 2 * 3 + 16 + 9
+    # unary order index (K qubits), K time registers, two flag banks of
+    # K - 1, the dressed residual's two cascade banks and residual ancillas
+    expected_m = 4 + 4 * log_d + 2 * 3 + 16 + 9
     assert seg.m == expected_m
 
 
@@ -338,6 +342,76 @@ def test_segment_circuit_constructs(dg8):
     assert len(circ.steps) > 4
 
 
+def _dilated_dressed(log_d, seed):
+    """Stand-in dressed residual on one system qubit and a one-qubit bank:
+    a dense unitary whose bank-zero block is sum_d |d><d| (x) B(d), with
+    B(d) = E(d)^dag H E(d) for commuting unitaries E(d).  Returns it and
+    the grid blocks B(d)."""
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return z + z.conj().T
+
+    h = hermitian()
+    h /= 1.5 * np.linalg.norm(h, 2)
+    gen = hermitian()
+    big_d = 2 ** log_d
+    grid = [refcheck.dense_expm(gen, 0.3 * d / big_d) for d in range(big_d)]
+    b_grid = [e.conj().T @ h @ e for e in grid]
+    top = np.zeros((2 * big_d, 2 * big_d), dtype=np.complex128)
+    for d, blk in enumerate(b_grid):
+        top[2 * d:2 * d + 2, 2 * d:2 * d + 2] = blk
+    evals, evecs = np.linalg.eigh(np.eye(2 * big_d) - top @ top)
+    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    dilation = np.block([[top, root], [root, -top]])
+    dressed = SimpleNamespace(m=1, alpha=1.7, unitary=DenseGate(dilation))
+    return dressed, b_grid
+
+
+@pytest.mark.parametrize("log_d", [1, 2])
+def test_segment_circuit_block_matches_series(log_d):
+    # the assembled circuit, extracted, is the truncated ordered series
+    # sum_k (-i tau alpha / D)^k T_k / lambda, with T_k enumerated directly
+    dressed, b_grid = _dilated_dressed(log_d, seed=log_d)
+    big_d, tau = 2 ** log_d, 0.3
+    for big_k in range(5):
+        cfg = DysonConfig(tau, big_d, big_k, 1e-3)
+        circ = dyson._build_segment_circuit(SimpleNamespace(n_qubits=1), cfg,
+                                            dressed)
+        series = np.zeros((2, 2), dtype=np.complex128)
+        for k in range(big_k + 1):
+            for combo in itertools.combinations_with_replacement(
+                    range(big_d), k):
+                prod = np.eye(2, dtype=np.complex128)
+                for d in combo:
+                    prod = b_grid[d] @ prod
+                series += (-1j * tau * dressed.alpha / big_d) ** k * prod
+        lam = sum((tau * dressed.alpha) ** k for k in range(big_k + 1))
+        assert np.max(np.abs(extract_block(circ, 1) - series / lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("big_k", [1, 3, 4])
+def test_segment_applies_each_slot_once(dg8, big_k):
+    # order k sets the first k qubits of the unary order index, so slot j
+    # runs its Hadamard pair, its dressed residual and its order test once
+    # each, under the single control kidx[j-1] = 1
+    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
+    circ = seg.unitary.materialize()
+    kidx = circ.layout.axes("kidx")
+    assert len(kidx) == big_k
+    controls = {}
+    for step in circ.steps:
+        controls.setdefault(step.op.label, []).append(step.controls)
+    slot = [((axis, 1),) for axis in kidx]
+    assert controls["dressed_h2"] == slot
+    assert controls["H^2"] == slot + slot
+    assert controls.get("order_test", []) == slot[1:]
+    assert controls.get("bank_flag", []) == [()] * (big_k - 1)
+
+
 def test_segment_index_maps_are_involutions(dg8):
     # FunctionalPermutation is its own adjoint only for an involution
     cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
@@ -366,15 +440,17 @@ def test_segment_counts_follow_composition(dg8):
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
     amp = fixed_point_aa(seg, 0.5)
-    assert seg.gate_count() == 31069
+    assert seg.gate_count() == 20718
     for be in (seg, amp):
         assert (be.gate_count(), be.query_profile()) == flat_counts(be.unitary)
 
 
 def test_amplified_segment_counts_without_allocating(dg8):
-    # dg8's t=1, eps=1e-3 schedule: the amplified segment spans 184
-    # qubits and runs 2.5e8 primitives; counting builds every description
-    # and runs none
+    # dg8's t=1, eps=1e-3 schedule: the amplified segment spans 189
+    # qubits and runs 4.9e7 primitives; counting builds every description
+    # and runs none.  L=27 segment applications of K=9 dressed residuals
+    # each, every one a residual (10 O_K) between two 15-bit cascades of
+    # grid evolutions amplified to degree 113 (8 O_K per reflection)
     cfg = default_config(dg8, 1.0, 1e-3)
     amp = fixed_point_aa(dyson.dyson_segment(LeafBlocks(dg8), cfg), 6.25e-6)
     tracemalloc.start()
@@ -384,10 +460,12 @@ def test_amplified_segment_counts_without_allocating(dg8):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
-    assert (amp.unitary.width, amp.aa_degree) == (184, 27)
-    assert amp.gate_count() == 247111666
-    assert profile == {"O_K": 32962950, "O_H": 32953230, "O_A": 7290,
-                       "O_L": 2430, "O_Z": 2430}
+    assert (amp.unitary.width, amp.aa_degree) == (189, 27)
+    assert amp.gate_count() == 49423309
+    assert profile == {"O_K": 243 * (10 + 2 * 15 * 8 * 113),
+                       "O_H": 243 * (2 + 2 * 15 * 8 * 113), "O_A": 243 * 6,
+                       "O_L": 243 * 2, "O_Z": 243 * 2}
+    assert profile["O_K"] == 6592590
 
 
 def test_segment_amplification(dg8):
@@ -651,6 +729,50 @@ def test_simulate_report_contents(dg8):
     assert set(doc["queries"]) == {"O_A", "O_H", "O_K", "O_L", "O_Z"}
     from hubsim.jsonio import dump_json
     assert dump_json(doc)  # serializable
+
+
+def _built_queries(graph, t, eps, method, monkeypatch):
+    """(report, queries of the circuits the solve built): per piece, its
+    segment count times the profile of the amplified segment plus the
+    rotation encoding of the piece's length."""
+    amplified = []
+    amplify = dyson.fixed_point_aa
+
+    def recording(be, eps_aa):
+        amplified.append((be, amplify(be, eps_aa)))
+        return amplified[-1][1]
+
+    monkeypatch.setattr(dyson, "fixed_point_aa", recording)
+    psi0 = np.zeros(2 ** graph.n_qubits, dtype=np.complex128)
+    psi0[0] = 1.0
+    _, report = dyson.simulate_full(graph, t, eps, psi0, method=method)
+    # the full pieces come first, and a fractional piece runs once
+    fractional = len(amplified) - 1
+    counts = [report.segments - fractional] + [1] * fractional
+    leaves = LeafBlocks(graph, method)
+    total = Counter()
+    for (seg, amp), count in zip(amplified, counts):
+        rotation = leaves.exp_g_encoding(seg.config.tau,
+                                         report.budget["rotation"])
+        for profile in (amp.query_profile(), rotation.query_profile()):
+            total.update({key: count * val for key, val in profile.items()})
+    return report, dict(total)
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+@pytest.mark.parametrize("graph_key,t,eps", [
+    pytest.param("dg8", 1.3, 1e-2, id="dg8-fractional"),
+    pytest.param("dg8", 0.01, 1e-3, id="dg8-short"),
+    pytest.param((16, 1, 4, 1, 5), 1.0, 1e-2, id="one-hub"),
+    pytest.param((8, 0, 2, 1, 0), 1.0, 1e-2, id="hub-free"),
+])
+def test_report_queries_equal_built_circuits(graph_key, t, eps, method,
+                                             monkeypatch):
+    graph = (netgraph.dg8() if graph_key == "dg8"
+             else netgraph.generate(*graph_key))
+    report, built = _built_queries(graph, t, eps, method, monkeypatch)
+    # the report also lists the tallies a hub-free solve never makes, as 0
+    assert {key: val for key, val in report.queries.items() if val} == built
 
 
 def test_structural_profile_matches_enumeration(dg8, dg8_oracles):
