@@ -1,6 +1,6 @@
-"""Interaction-picture evolution: controlled link-matrix evolutions, dressed
-time-indexed residual encodings, truncated ordered-series segments, and the
-end-to-end pipeline.
+"""Interaction-picture evolution: the time select of link-matrix
+evolutions, dressed time-indexed residual encodings, truncated
+ordered-series segments, and the end-to-end pipeline.
 
 The full evolution is sliced into segments of length tau.  Per segment, the
 frame rotated by the link evolution exp(-iGs) turns the adjacency generator
@@ -33,14 +33,18 @@ Every Dyson object is built from two leaf encodings, exp(-iGt) and the
 residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
 builder here takes it and nothing it already carries.  The "circuit" tier
-extracts each leaf block from its circuit (controlled-evolution cascades,
-the sparse-piece encodings); the "classical-ff" tier substitutes the
-verified dense blocks, which keeps the combinatorial assembly testable up
-to larger N.  The rotation stage applies the same exp(-iG tau) block in
-both tiers.  Combined blocks follow the exact composition rules for
-disjoint ancilla banks, so no full-width state is ever materialized.  The
-composite circuits (the select cascade, the dressed residual, the segment)
-carry complete register bookkeeping but are built on first use, never
+extracts each leaf block from its circuit (the exact rank-two evolutions
+of ``ffhub``, the sparse-piece encodings); the "classical-ff" tier
+substitutes the verified dense blocks, which keeps the combinatorial
+assembly testable up to larger N.  Since the evolution circuits are exact,
+the two tiers agree to rounding.  The rotation stage applies the same
+exp(-iG tau) block in both tiers.  The time select sum_d |d><d| (x)
+exp(-iG d tau/D) is the same rank-two circuit with its phases controlled
+on the grid register: no ancilla and two O_H queries whatever D is.
+Combined blocks follow the exact composition rules for disjoint ancilla
+banks, so no full-width state is ever materialized.  The composite
+circuits (the time select, the dressed residual, the segment) carry
+complete register bookkeeping but are built on first use, never
 eagerly.  Building one allocates no amplitudes, so any of them can be
 counted (``gate_count``, ``query_profile``) at any width; running one
 through ``extract_block`` past the qubit cap raises a resource error.
@@ -53,12 +57,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import (BlockEncoding, amplification_degree, fixed_point_aa,
-                       unitary_with_first_column)
+from .blockenc import BlockEncoding, fixed_point_aa, unitary_with_first_column
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError)
-from .ffhub import (build_expG, classical_expG_apply, expG_bundle,
-                    hub_block_factor, link_norm)
+from .ffhub import (_rank_two_circuit, build_expG, classical_expG_apply,
+                    link_norm)
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
 from .qstate import (Circuit, DenseGate, FunctionalPermutation, LazyCircuit,
@@ -147,12 +150,12 @@ class LeafBlocks:
     ``method`` names the tier as in ``simulate_full``: "circuit" extracts
     every leaf block from its circuit, "classical-ff" substitutes the
     verified dense forms.  The graph is validated here, once.  One source
-    per solve builds the residual encoding, the t-independent exp(-iGt)
-    bundle and each distinct exp(-iGt) encoding once, and drops them with
-    the solve.  The oracle set is built on first use when none is given;
-    one built on another graph raises ``ParameterError``.  Both tiers hold
-    dense N x N blocks, so a graph past the dense-block cap raises
-    ``ResourceError`` before anything is validated or built.
+    per solve builds the residual encoding and each distinct exp(-iGt)
+    encoding once, and drops them with the solve.  The oracle set is built
+    on first use when none is given; one built on another graph raises
+    ``ParameterError``.  Both tiers hold dense N x N blocks, so a graph
+    past the dense-block cap raises ``ResourceError`` before anything is
+    validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -169,7 +172,6 @@ class LeafBlocks:
         self.method = method
         self._oracles = oracle_set
         self._h2 = None
-        self._exp_g_bundle = None
         self._exp_g: dict[tuple[float, float], BlockEncoding] = {}
 
     @property
@@ -179,19 +181,15 @@ class LeafBlocks:
         return self._oracles
 
     def exp_g_encoding(self, t: float, eps: float) -> BlockEncoding:
-        """Encoding of exp(-iGt) to eps, built once per (t, eps) on the
-        shared t-independent bundle."""
+        """Encoding of exp(-iGt) to eps, built once per (t, eps)."""
         key = (t, eps)
         if key not in self._exp_g:
-            if self._exp_g_bundle is None and self.graph.m_hubs:
-                self._exp_g_bundle = expG_bundle(self.oracles)
-            self._exp_g[key] = build_expG(self.oracles, t, eps,
-                                          bundle=self._exp_g_bundle)
+            self._exp_g[key] = build_expG(self.oracles, t, eps)
         return self._exp_g[key]
 
     def exp_g_block(self, t: float, eps: float) -> np.ndarray:
-        """The N x N block of exp(-iGt): extracted from its encoding to eps,
-        or exact from the rank-two fast path."""
+        """The N x N block of exp(-iGt): extracted from its exact circuit,
+        or from the rank-two fast path."""
         if self.method == "circuit":
             return self.exp_g_encoding(t, eps).block()
         eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
@@ -230,23 +228,20 @@ def _grid_blocks(bit_blocks: list[np.ndarray], lo: int, hi: int,
     return out
 
 
-# -- controlled-evolution select and dressed residual -------------------------
+# -- time select and dressed residual ------------------------------------------
 
 
 class SelectGEncoding(BlockEncoding):
     """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
 
     D = 2^len(bit_blocks), and the ancillas are the qubits of the unitary
-    beyond the log2(D) + n system qubits.  ``unit_eps`` is the error each
-    grid evolution of the cascade was built to.  Subclasses change only
-    ``_at``, the block at one grid point as a function of its evolution
-    E(d)."""
+    beyond the log2(D) + n system qubits.  Subclasses change only ``_at``,
+    the block at one grid point as a function of its evolution E(d)."""
 
     stage = "select_g"
 
-    def __init__(self, unitary, bit_blocks, eps, unit_eps, alpha=1.0):
+    def __init__(self, unitary, bit_blocks, eps, alpha=1.0):
         self.bit_blocks = bit_blocks
-        self.unit_eps = unit_eps
         self.big_d = 2 ** len(bit_blocks)
         self._dim = bit_blocks[0].shape[0]
         n_sys = len(bit_blocks) + int(math.log2(self._dim))
@@ -274,39 +269,23 @@ class SelectGEncoding(BlockEncoding):
 
 def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
                   eps: float) -> SelectGEncoding:
-    """Cascade of controlled link evolutions over a log2(D)-qubit grid
-    register.
-
-    Bit j of the grid register controls one evolution of length
-    tau 2^j / D, each built to per-unitary error below eps / (2 log2 D) so
-    the cascaded error telescopes within eps; the cascade shares a single
-    8-qubit ancilla bank, which is sound because each factor is a
-    unit-factor encoding of a unitary.  The cascade circuit is built on
-    first use, from the same bit encodings of ``leaves``, the solve's leaf
-    source, as the blocks.
+    """Time select over a log2(D)-qubit grid register: the exact rank-two
+    circuit of ``ffhub`` with its two phases controlled bit by bit on d,
+    so it has no ancilla and makes two O_H queries whatever D is.  Its
+    blocks are the products of the bit evolutions exp(-iG tau 2^j / D)
+    that ``leaves``, the solve's leaf source, supplies to eps; the circuit
+    is built on first use.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
-    n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
-    eps_unit = eps / (2.0 * log_d * (log_d + 1))
-    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps_unit)
+    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps)
                   for j in range(log_d)]
-
-    def build_circuit():
-        layout = RegisterLayout(("bank", 8), ("d", log_d), ("sys", n))
-        circ = Circuit(layout, label="select_g")
-        bank_sys = list(layout.axes("bank")) + list(layout.axes("sys"))
-        d_axes = layout.axes("d")
-        for j in range(log_d):
-            be = leaves.exp_g_encoding(tau * (2 ** j) / big_d, eps_unit)
-            ctrl_axis = d_axes[log_d - 1 - j]  # bit of weight 2^j
-            circ.append(be.unitary, qubits=bank_sys,
-                        controls=[(ctrl_axis, 1)])
-        return circ
-
-    unitary = LazyCircuit(8 + log_d + n, build_circuit, label="select_g")
-    return SelectGEncoding(unitary, bit_blocks, eps, eps_unit)
+    unitary = LazyCircuit(
+        log_d + leaves.graph.n_qubits,
+        lambda: _rank_two_circuit(leaves.oracles, tau / big_d, log_d),
+        label="select_g")
+    return SelectGEncoding(unitary, bit_blocks, eps)
 
 
 class DressedResidualEncoding(SelectGEncoding):
@@ -316,8 +295,7 @@ class DressedResidualEncoding(SelectGEncoding):
 
     def __init__(self, unitary, select, h2_block, alpha2, eps):
         self.h2_norm_block = h2_block
-        super().__init__(unitary, select.bit_blocks, eps, select.unit_eps,
-                         alpha=alpha2)
+        super().__init__(unitary, select.bit_blocks, eps, alpha=alpha2)
 
     def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d.conj().T @ self.h2_norm_block @ e_d
@@ -325,12 +303,12 @@ class DressedResidualEncoding(SelectGEncoding):
 
 def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
                      eps: float) -> DressedResidualEncoding:
-    """Conjugate the residual encoding by the controlled-evolution cascade.
+    """Conjugate the residual encoding by the time select.
 
-    The two cascades and the residual encoding keep three disjoint ancilla
-    banks (8 + m + 8 qubits), so the combined block is exactly the product
-    of the three sub-blocks, grid value by grid value.  The cascade gets
-    eps / 2.5 of the budget.  The circuit is built on first use.
+    The select has no ancilla, so the residual's bank is the only one
+    (m qubits) and the combined block is exactly the product of the three
+    sub-blocks, grid value by grid value.  The select gets eps / 2.5 of
+    the budget.  The circuit is built on first use.
     """
     n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
@@ -338,20 +316,14 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
     h2_block, alpha2, m_h2 = leaves.h2_block()
 
     def build_circuit():
-        layout = RegisterLayout(("cga", 8), ("h2bank", m_h2), ("cgb", 8),
-                                ("d", log_d), ("sys", n))
+        layout = RegisterLayout(("h2bank", m_h2), ("d", log_d), ("sys", n))
         circ = Circuit(layout, label="dressed_h2")
-        d_sys = list(layout.axes("d")) + list(layout.axes("sys"))
-        circ.append(select.unitary,
-                    qubits=list(layout.axes("cga")) + d_sys)
-        circ.append(leaves.h2_encoding().unitary,
-                    qubits=list(layout.axes("h2bank")) + list(layout.axes("sys")))
-        circ.append(select.unitary,
-                    qubits=list(layout.axes("cgb")) + d_sys, adjoint=True)
+        circ.append(select.unitary, on=["d", "sys"])
+        circ.append(leaves.h2_encoding().unitary, on=["h2bank", "sys"])
+        circ.append(select.unitary, on=["d", "sys"], adjoint=True)
         return circ
 
-    unitary = LazyCircuit(16 + m_h2 + log_d + n, build_circuit,
-                          label="dressed_h2")
+    unitary = LazyCircuit(m_h2 + log_d + n, build_circuit, label="dressed_h2")
     return DressedResidualEncoding(unitary, select, h2_block, alpha2, eps)
 
 
@@ -497,17 +469,14 @@ def _build_segment_circuit(graph, config, dressed):
 
 class _SegmentEncoding(BlockEncoding):
     """Segment encoding whose block is its own truncated series.  It keeps
-    its schedule, the per-order totals, the residual's factor alpha2 and
-    the degree each grid evolution of its cascades is amplified to."""
+    its schedule, the per-order totals and the residual's factor alpha2."""
 
-    def __init__(self, unitary, lam, m, n, config, series_totals, alpha2,
-                 grid_degree):
+    def __init__(self, unitary, lam, m, n, config, series_totals, alpha2):
         super().__init__(unitary, lam, m, n, eps=config.eps_segment,
                          label="dyson_segment")
         self.config = config
         self.series_totals = series_totals
         self.alpha2_enc = alpha2
-        self.grid_degree = grid_degree
 
     def _full_block(self) -> np.ndarray:
         return segment_block_at_order(self, self.config.big_k) / self.alpha
@@ -545,7 +514,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
 
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
-    # the select cascade inside gets eps_seg / 4
+    # the time select inside gets eps_seg / 4
     dressed = build_dressed_H2(leaves, tau, big_d, 2.5 * eps_seg / 4.0)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
     totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
@@ -557,8 +526,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
         m_seg + n, lambda: _build_segment_circuit(graph, config, dressed),
         label="dyson_segment")
     return _SegmentEncoding(unitary, lam, m_seg, n, config, totals,
-                            dressed.alpha,
-                            _expg_degree(graph, dressed.unit_eps))
+                            dressed.alpha)
 
 
 def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
@@ -579,14 +547,6 @@ def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
 # -- end-to-end pipeline -------------------------------------------------------
 
 
-def _expg_degree(graph: HubSparseGraph, eps: float) -> int:
-    """Amplification degree of an exp(-iGt) encoding built to eps: that of
-    its (2 beta + 1)-factor combination; 0 without hubs."""
-    if not graph.m_hubs:
-        return 0
-    return amplification_degree(2.0 * hub_block_factor(graph) + 1.0, eps)
-
-
 def _merge_profiles(*scaled):
     out: dict[str, int] = {}
     for profile, factor in scaled:
@@ -595,18 +555,18 @@ def _merge_profiles(*scaled):
     return out
 
 
-def _structural_oracle_profile(graph, l_expg, n_expg_stage, n_h2):
-    """Oracle tallies from the circuit structure: each evolution-stage call
-    runs l_expg reflections of the two projector-marking circuits (four
-    eigenvector preparations each, one type query and one hub lookup per
-    preparation); each residual application touches every oracle O(1)
+def _structural_oracle_profile(graph, n_rank_two, n_h2):
+    """Oracle tallies from the circuit structure: each rank-two circuit
+    (a rotation or a time select) queries O_H twice, and not at all
+    without hubs; each residual application touches every oracle O(1)
     times."""
-    per_expg = {"O_K": 8 * l_expg, "O_H": 8 * l_expg}
     if graph.m_hubs:
+        per_rank_two = {"O_H": 2}
         per_h2 = {"O_A": 6, "O_K": 10, "O_H": 2, "O_L": 2, "O_Z": 2}
     else:
+        per_rank_two = {}
         per_h2 = {"O_A": 2, "O_K": 4, "O_L": 2}
-    return _merge_profiles((per_expg, n_expg_stage), (per_h2, n_h2))
+    return _merge_profiles((per_rank_two, n_rank_two), (per_h2, n_h2))
 
 
 @dataclass
@@ -690,30 +650,23 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     queries: dict[str, int] = {}
     segments = 0
 
-    l_expg = _expg_degree(graph, eps_g)
-
     def run_piece(length: float, piece_cfg: DysonConfig, count: int):
         nonlocal psi, expg_stage, expg_grid, queries, segments
         seg_be = dyson_segment(leaves, piece_cfg)
         amplified = fixed_point_aa(seg_be, eps_aa)
         g_block = leaves.exp_g_block(length, eps_g)
-        log_d = int(math.log2(piece_cfg.big_d))
-        l_seg = amplified.aa_degree
-        # the length-tau rotation stage runs once per segment; the grid
-        # cascade fires 2 K log2(D) length-(tau 2^j / D) evolutions per
-        # reflection of the segment oracle, each at the cascade's degree
-        per_seg_grid = l_seg * 2 * piece_cfg.big_k * log_d
         for _ in range(count):
             psi = g_block @ amplified.apply_block(psi)
-            segments += 1
-            expg_stage += 1
-            expg_grid += per_seg_grid
+        # the segment oracle runs L times, each applying K dressed
+        # residuals, and each dressed residual applies the time select
+        # twice; the length-tau rotation stage runs once per segment
+        n_h2 = amplified.aa_degree * piece_cfg.big_k * count
+        segments += count
+        expg_stage += count
+        expg_grid += 2 * n_h2
         queries = _merge_profiles(
             (queries, 1),
-            (_structural_oracle_profile(graph, seg_be.grid_degree,
-                                        per_seg_grid * count,
-                                        l_seg * piece_cfg.big_k * count), 1),
-            (_structural_oracle_profile(graph, l_expg, count, 0), 1))
+            (_structural_oracle_profile(graph, 2 * n_h2 + count, n_h2), 1))
 
     run_piece(tau, cfg, n_full)
     if t_frac > 0.0:

@@ -83,6 +83,9 @@ def test_verify_be_passes(graph_file, tmp_path):
     assert set(doc["encodings"]) == {"a_hub", "a_reg", "a_minus", "h2",
                                      "exp_g"}
     assert doc["encodings"]["a_hub"]["error"] <= 1e-10
+    # the exact rank-two circuit: no ancilla, error at rounding level
+    assert doc["encodings"]["exp_g"]["ancillas"] == 0
+    assert doc["encodings"]["exp_g"]["error"] <= 1e-12
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan", "1e-15"])

@@ -18,6 +18,7 @@ from hubsim.blockenc import fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
+from hubsim.ffhub import build_expG
 from hubsim.qstate import DenseGate, LazyCircuit, extract_block, spectral_norm
 
 
@@ -79,18 +80,33 @@ def test_selectg_all_grid_points_within_eps(dg8, dg8_dense):
         assert spectral_norm(sel.d_block(d) - target) <= eps
 
 
+@pytest.mark.parametrize("log_d", [1, 2, 3])
+def test_select_slices_are_the_per_t_evolutions(dg8, log_d):
+    # sum_d |d><d| (x) exp(-iG tau d/D) with no ancilla and two O_H
+    # queries whatever D is; each d_block is the per-t circuit's block
+    big_d = 2 ** log_d
+    tau = 0.37 * big_d
+    leaves = LeafBlocks(dg8)
+    sel = dyson.build_selectG(leaves, tau, big_d, 1e-6)
+    assert (sel.m, sel.query_profile()) == (0, {"O_H": 2})
+    for d in range(big_d):
+        per_t = build_expG(leaves.oracles, tau * d / big_d, 1e-6).block()
+        assert np.max(np.abs(sel.d_block(d) - per_t)) <= 1e-13
+
+
 def test_selectg_requires_power_of_two(dg8):
     with pytest.raises(ConfigurationError):
         dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=6, eps=1e-6)
 
 
 def test_selectg_honest_circuit_block_diagonal(dg8):
-    # 13-qubit extraction of the full cascade: the grid register never
-    # mixes, and diagonal blocks match the algebraic path
+    # 5-qubit extraction of the whole select (no ancilla): the grid
+    # register never mixes, and diagonal blocks match the algebraic path
     sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-2)
+    assert (sel.m, sel.unitary.width) == (0, 5)
     circ_block = extract_block(sel.unitary, sel.n_sys)
     alg_block = sel.block()
-    assert np.max(np.abs(circ_block - alg_block)) < 1e-6
+    assert np.max(np.abs(circ_block - alg_block)) < 1e-13
     dim = 8
     for d1 in range(4):
         for d2 in range(4):
@@ -142,15 +158,16 @@ def test_dressed_blocks_unitarily_similar(dg8):
 def test_dressed_register_bookkeeping(dg8):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-6)
     assert dr.alpha == 8.0
-    assert dr.m == 16 + (3 + 6)  # two cascade banks + residual ancillas
-    # the circuit: cascade on cga, residual on h2bank, cascade^dag on cgb
+    assert dr.m == 3 + 6  # the residual's ancillas; the select has none
+    # the circuit: select on (d, sys), residual on (h2bank, sys), select^dag
     circ = dr.unitary.materialize()
-    assert circ.width == dr.m + dr.n_sys == 30
+    assert circ.width == dr.m + dr.n_sys == 14
     assert [s.op.label for s in circ.steps] == ["select_g", "lcu", "select_g"]
     assert [s.adjoint for s in circ.steps] == [False, False, True]
-    for step, bank in zip(circ.steps, ("cga", "h2bank", "cgb")):
-        axes = circ.layout.axes(bank)
-        assert step.qubits[:len(axes)] == axes
+    layout = circ.layout
+    d_sys = layout.axes("d") + layout.axes("sys")
+    assert [s.qubits for s in circ.steps] == [
+        d_sys, layout.axes("h2bank") + layout.axes("sys"), d_sys]
 
 
 def test_segment_order_zero_is_identity(dg8):
@@ -188,7 +205,7 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
     dim = 2 ** graph.n_qubits
     # doubling conjugates whole products by one bit evolution, which equals
     # the product of conjugated factors only up to the unitarity defect of
-    # the extracted blocks (about 1e-10 in the circuit tier, 0 when dense)
+    # the extracted blocks (rounding in the circuit tier, 0 when dense)
     defect = max(spectral_norm(e.conj().T @ e - np.eye(dim))
                  for e in dressed.bit_blocks)
     log_d = int(np.log2(big_d))
@@ -285,8 +302,8 @@ def test_segment_alpha_and_ancillas(dg8):
     assert seg.alpha == pytest.approx(sum(0.5 ** k for k in range(5)))
     log_d = 6
     # unary order index (K qubits), K time registers, two flag banks of
-    # K - 1, the dressed residual's two cascade banks and residual ancillas
-    expected_m = 4 + 4 * log_d + 2 * 3 + 16 + 9
+    # K - 1 and the residual's ancillas (the time select has none)
+    expected_m = 4 + 4 * log_d + 2 * 3 + 9
     assert seg.m == expected_m
 
 
@@ -419,7 +436,7 @@ def test_segment_index_maps_are_involutions(dg8):
                               check_budget=False)
     maps = {s.op.label: s.op for s in seg.unitary.materialize().steps
             if s.op.label in ("bank_flag", "order_test")}
-    assert maps["bank_flag"].width == 26
+    assert maps["bank_flag"].width == 9 + 1  # residual bank and one flag
     rng = np.random.default_rng(0)
     for op in maps.values():
         idx = rng.integers(0, 2 ** op.width, size=4096, dtype=np.int64)
@@ -440,17 +457,19 @@ def test_segment_counts_follow_composition(dg8):
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
                               check_budget=False)
     amp = fixed_point_aa(seg, 0.5)
-    assert seg.gate_count() == 20718
+    # 2 dressed residuals of 85 gates (two 22-gate selects around the
+    # 41-gate residual), 4 Hadamard layers, an order test, a bank flag,
+    # 4 prepare gates and 2 phases
+    assert seg.gate_count() == 2 * 85 + 12 == 182
     for be in (seg, amp):
         assert (be.gate_count(), be.query_profile()) == flat_counts(be.unitary)
 
 
 def test_amplified_segment_counts_without_allocating(dg8):
-    # dg8's t=1, eps=1e-3 schedule: the amplified segment spans 189
-    # qubits and runs 4.9e7 primitives; counting builds every description
-    # and runs none.  L=27 segment applications of K=9 dressed residuals
-    # each, every one a residual (10 O_K) between two 15-bit cascades of
-    # grid evolutions amplified to degree 113 (8 O_K per reflection)
+    # dg8's t=1, eps=1e-3 schedule: the amplified segment spans 173
+    # qubits; counting builds every description and runs none.  L=27
+    # segment applications of K=9 dressed residuals each, every one a
+    # residual (10 O_K, 2 O_H) between two time selects (2 O_H each)
     cfg = default_config(dg8, 1.0, 1e-3)
     amp = fixed_point_aa(dyson.dyson_segment(LeafBlocks(dg8), cfg), 6.25e-6)
     tracemalloc.start()
@@ -460,12 +479,13 @@ def test_amplified_segment_counts_without_allocating(dg8):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
-    assert (amp.unitary.width, amp.aa_degree) == (189, 27)
-    assert amp.gate_count() == 49423309
-    assert profile == {"O_K": 243 * (10 + 2 * 15 * 8 * 113),
-                       "O_H": 243 * (2 + 2 * 15 * 8 * 113), "O_A": 243 * 6,
-                       "O_L": 243 * 2, "O_Z": 243 * 2}
-    assert profile["O_K"] == 6592590
+    assert (amp.unitary.width, amp.aa_degree) == (173, 27)
+    # per segment application 9 G + 61 with G = 2 * 48 + 41, plus 79 for
+    # the phase sequence
+    assert amp.gate_count() == 27 * (9 * 137 + 61) + 79 == 35017
+    assert profile == {"O_K": 243 * 10, "O_H": 243 * (2 + 2 * 2),
+                       "O_A": 243 * 6, "O_L": 243 * 2, "O_Z": 243 * 2}
+    assert profile["O_K"] == 2430
 
 
 def test_segment_amplification(dg8):
@@ -590,10 +610,8 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
 
 def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
     # t=1.3 runs a full piece and a fractional one; both draw on the one
-    # leaf source of the solve, so the residual and the eigenvector
-    # preparations are built once
-    from hubsim import ffhub
-    counts = {"encode_H2": 0, "build_P_pm": 0}
+    # leaf source of the solve, so the residual is built once
+    counts = {"encode_H2": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -604,11 +622,10 @@ def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(dyson, "encode_H2")
-    counting(ffhub, "build_P_pm")
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[0] = 1.0
     dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
-    assert counts == {"encode_H2": 1, "build_P_pm": 2}
+    assert counts == {"encode_H2": 1}
 
 
 def test_leaf_blocks_take_the_simulate_tier_names(dg8):
@@ -693,6 +710,26 @@ def test_tiers_agree_across_generated_graphs(params, seed, t):
         == LeafBlocks(g, "classical-ff").h2_block()[1:]
 
 
+@pytest.mark.parametrize("graph_key,t,eps", [
+    pytest.param("dg8", 1.3, 1e-2, id="dg8"),
+    pytest.param((32, 2, 8, 2, 3), 1.0, 0.1, id="n32"),
+    pytest.param((16, 1, 4, 1, 5), 1.0, 1e-2, id="one-hub"),
+    pytest.param((64, 2, 8, 2, 3), 1.0, 0.1, id="n64"),
+])
+def test_circuit_tier_psi_equals_classical_ff(graph_key, t, eps):
+    # every circuit-tier leaf block comes from an exact circuit, so the two
+    # tiers evolve the same blocks and agree to rounding
+    graph = (netgraph.dg8() if graph_key == "dg8"
+             else netgraph.generate(*graph_key))
+    dim = 2 ** graph.n_qubits
+    rng = np.random.default_rng(11)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    psi_c, _ = dyson.simulate_full(graph, t, eps, psi0, method="circuit")
+    psi_d, _ = dyson.simulate_full(graph, t, eps, psi0, method="classical-ff")
+    assert np.max(np.abs(psi_c - psi_d)) <= 1e-12
+
+
 def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):
     # perfbench/layertrace.py rebinds these names in the modules that look
     # them up; renaming one must fail here, not in a traced benchmark run
@@ -771,20 +808,28 @@ def test_report_queries_equal_built_circuits(graph_key, t, eps, method,
     graph = (netgraph.dg8() if graph_key == "dg8"
              else netgraph.generate(*graph_key))
     report, built = _built_queries(graph, t, eps, method, monkeypatch)
-    # the report also lists the tallies a hub-free solve never makes, as 0
-    assert {key: val for key, val in report.queries.items() if val} == built
+    assert report.queries == built
+    # the report's select count is the tally's: two selects per dressed
+    # residual (which queries O_Z twice), plus one rotation per segment,
+    # each rank-two circuit at two O_H
+    if graph.m_hubs:
+        n_h2 = report.queries["O_Z"] // 2
+        assert report.expg_grid_calls == 2 * n_h2
+        assert report.queries["O_H"] == 2 * n_h2 + 2 * (
+            report.expg_grid_calls + report.expg_stage_calls)
 
 
-def test_structural_profile_matches_enumeration(dg8, dg8_oracles):
+def test_structural_profile_matches_enumeration(dg8):
     # the arithmetic oracle tallies in the run report are grounded in the
-    # actual circuit profiles
+    # actual circuit profiles: one rotation, one time select and one
+    # residual, with and without hubs
     from hubsim.dyson import _structural_oracle_profile
-    from hubsim.ffhub import build_expG
-    from hubsim.sparse_enc import encode_H2
-    be_g = build_expG(dg8_oracles, 0.25, 1e-4)
-    be_h2 = encode_H2(dg8_oracles)
-    formula = _structural_oracle_profile(dg8, be_g.aa_degree, 1, 1)
-    combined = dict(be_g.query_profile())
-    for key, val in be_h2.query_profile().items():
-        combined[key] = combined.get(key, 0) + val
-    assert formula == combined
+    for graph in (dg8, netgraph.generate(8, 0, 2, 1, 0)):
+        leaves = LeafBlocks(graph)
+        parts = (leaves.exp_g_encoding(0.25, 1e-4),
+                 dyson.build_selectG(leaves, 0.25, 8, 1e-4),
+                 leaves.h2_encoding())
+        combined = Counter()
+        for be in parts:
+            combined.update(be.query_profile())
+        assert _structural_oracle_profile(graph, 2, 1) == dict(combined)
