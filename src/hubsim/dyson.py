@@ -57,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import BlockEncoding, fixed_point_aa, unitary_with_first_column
+from .blockenc import (EPS_FLOOR, BlockEncoding, fixed_point_aa,
+                       unitary_with_first_column)
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError)
 from .ffhub import (_rank_two_circuit, build_expG, classical_expG_apply,
@@ -150,12 +151,12 @@ class LeafBlocks:
     ``method`` names the tier as in ``simulate_full``: "circuit" extracts
     every leaf block from its circuit, "classical-ff" substitutes the
     verified dense forms.  The graph is validated here, once.  One source
-    per solve builds the residual encoding and each distinct exp(-iGt)
-    encoding once, and drops them with the solve.  The oracle set is built
-    on first use when none is given; one built on another graph raises
-    ``ParameterError``.  Both tiers hold dense N x N blocks, so a graph
-    past the dense-block cap raises ``ResourceError`` before anything is
-    validated or built.
+    per solve builds the residual encoding once and drops it with the
+    solve.  The exp(-iGt) circuits are exact, so they take no share of the
+    error budget.  The oracle set is built on first use when none is
+    given; one built on another graph raises ``ParameterError``.  Both
+    tiers hold dense N x N blocks, so a graph past the dense-block cap
+    raises ``ResourceError`` before anything is validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -172,7 +173,6 @@ class LeafBlocks:
         self.method = method
         self._oracles = oracle_set
         self._h2 = None
-        self._exp_g: dict[tuple[float, float], BlockEncoding] = {}
 
     @property
     def oracles(self) -> OracleSet:
@@ -180,18 +180,11 @@ class LeafBlocks:
             self._oracles = build_oracle_set(self.graph)
         return self._oracles
 
-    def exp_g_encoding(self, t: float, eps: float) -> BlockEncoding:
-        """Encoding of exp(-iGt) to eps, built once per (t, eps)."""
-        key = (t, eps)
-        if key not in self._exp_g:
-            self._exp_g[key] = build_expG(self.oracles, t, eps)
-        return self._exp_g[key]
-
-    def exp_g_block(self, t: float, eps: float) -> np.ndarray:
+    def exp_g_block(self, t: float) -> np.ndarray:
         """The N x N block of exp(-iGt): extracted from its exact circuit,
         or from the rank-two fast path."""
         if self.method == "circuit":
-            return self.exp_g_encoding(t, eps).block()
+            return build_expG(self.oracles, t, EPS_FLOOR).block()
         eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
         return classical_expG_apply(self.graph, t, eye)
 
@@ -240,13 +233,13 @@ class SelectGEncoding(BlockEncoding):
 
     stage = "select_g"
 
-    def __init__(self, unitary, bit_blocks, eps, alpha=1.0):
+    def __init__(self, unitary, bit_blocks, alpha=1.0):
         self.bit_blocks = bit_blocks
         self.big_d = 2 ** len(bit_blocks)
         self._dim = bit_blocks[0].shape[0]
         n_sys = len(bit_blocks) + int(math.log2(self._dim))
         super().__init__(unitary, alpha, unitary.width - n_sys, n_sys,
-                         eps=eps, label=self.stage)
+                         label=self.stage)
 
     def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d
@@ -267,25 +260,25 @@ class SelectGEncoding(BlockEncoding):
         return total
 
 
-def build_selectG(leaves: LeafBlocks, tau: float, big_d: int,
-                  eps: float) -> SelectGEncoding:
+def build_selectG(leaves: LeafBlocks, tau: float,
+                  big_d: int) -> SelectGEncoding:
     """Time select over a log2(D)-qubit grid register: the exact rank-two
     circuit of ``ffhub`` with its two phases controlled bit by bit on d,
-    so it has no ancilla and makes two O_H queries whatever D is.  Its
-    blocks are the products of the bit evolutions exp(-iG tau 2^j / D)
-    that ``leaves``, the solve's leaf source, supplies to eps; the circuit
-    is built on first use.
+    so it has no ancilla, makes two O_H queries whatever D is and claims
+    eps 0.  Its blocks are the products of the bit evolutions
+    exp(-iG tau 2^j / D) that ``leaves``, the solve's leaf source,
+    supplies; the circuit is built on first use.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
     log_d = int(math.log2(big_d))
-    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d, eps)
+    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d)
                   for j in range(log_d)]
     unitary = LazyCircuit(
         log_d + leaves.graph.n_qubits,
         lambda: _rank_two_circuit(leaves.oracles, tau / big_d, log_d),
         label="select_g")
-    return SelectGEncoding(unitary, bit_blocks, eps)
+    return SelectGEncoding(unitary, bit_blocks)
 
 
 class DressedResidualEncoding(SelectGEncoding):
@@ -293,26 +286,27 @@ class DressedResidualEncoding(SelectGEncoding):
 
     stage = "dressed_h2"
 
-    def __init__(self, unitary, select, h2_block, alpha2, eps):
+    def __init__(self, unitary, select, h2_block, alpha2):
         self.h2_norm_block = h2_block
-        super().__init__(unitary, select.bit_blocks, eps, alpha=alpha2)
+        super().__init__(unitary, select.bit_blocks, alpha=alpha2)
 
     def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d.conj().T @ self.h2_norm_block @ e_d
 
 
-def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
-                     eps: float) -> DressedResidualEncoding:
+def build_dressed_H2(leaves: LeafBlocks, tau: float,
+                     big_d: int) -> DressedResidualEncoding:
     """Conjugate the residual encoding by the time select.
 
     The select has no ancilla, so the residual's bank is the only one
     (m qubits) and the combined block is exactly the product of the three
-    sub-blocks, grid value by grid value.  The select gets eps / 2.5 of
-    the budget.  The circuit is built on first use.
+    sub-blocks, grid value by grid value.  The select and the residual are
+    exact encodings, so the result claims eps 0.  The circuit is built on
+    first use.
     """
     n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
-    select = build_selectG(leaves, tau, big_d, eps / 2.5)
+    select = build_selectG(leaves, tau, big_d)
     h2_block, alpha2, m_h2 = leaves.h2_block()
 
     def build_circuit():
@@ -324,7 +318,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float, big_d: int,
         return circ
 
     unitary = LazyCircuit(m_h2 + log_d + n, build_circuit, label="dressed_h2")
-    return DressedResidualEncoding(unitary, select, h2_block, alpha2, eps)
+    return DressedResidualEncoding(unitary, select, h2_block, alpha2)
 
 
 # -- segment assembly ----------------------------------------------------------
@@ -514,8 +508,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
 
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
-    # the time select inside gets eps_seg / 4
-    dressed = build_dressed_H2(leaves, tau, big_d, 2.5 * eps_seg / 4.0)
+    dressed = build_dressed_H2(leaves, tau, big_d)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
     totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
                                     big_k)
@@ -580,8 +573,6 @@ class RunReport:
     tau: float
     alpha1: float
     alpha2: float
-    expg_stage_calls: int
-    expg_grid_calls: int
     queries: dict
     budget: dict
     norm_deficit: float
@@ -592,8 +583,6 @@ class RunReport:
             "t": self.t, "eps": self.eps, "method": self.method,
             "segments": self.segments, "K": self.big_k, "D": self.big_d,
             "tau": self.tau, "alpha1": self.alpha1, "alpha2": self.alpha2,
-            "expG_stage_calls": self.expg_stage_calls,
-            "expG_grid_calls": self.expg_grid_calls,
             "queries": dict(sorted(self.queries.items())),
             "budget": self.budget,
             "norm_deficit": self.norm_deficit,
@@ -615,6 +604,8 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
     every leaf from its circuit, "classical-ff" substitutes the verified
     dense forms.  The rotation applies that source's exp(-iG tau) block.
+    The rotation and the time select are exact, so the report's budget
+    names only the segment series and its amplification.
     """
     check_eps(eps)
     if not (math.isfinite(t) and t >= 0):
@@ -630,8 +621,8 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     alpha1, alpha2 = evolution_scales(graph)
 
     if t == 0.0:
-        report = RunReport(t, eps, method, 0, 0, 0, 0.0, alpha1, alpha2, 0,
-                           0, {}, {}, 0.0)
+        report = RunReport(t, eps, method, 0, 0, 0, 0.0, alpha1, alpha2, {},
+                           {}, 0.0)
         return psi, report
 
     cfg = default_config(graph, t, eps)
@@ -643,18 +634,15 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
 
     eps_seg = cfg.eps_segment
     eps_aa = eps_seg / 10.0
-    eps_g = eps_seg / 10.0
 
-    expg_stage = 0
-    expg_grid = 0
     queries: dict[str, int] = {}
     segments = 0
 
     def run_piece(length: float, piece_cfg: DysonConfig, count: int):
-        nonlocal psi, expg_stage, expg_grid, queries, segments
+        nonlocal psi, queries, segments
         seg_be = dyson_segment(leaves, piece_cfg)
         amplified = fixed_point_aa(seg_be, eps_aa)
-        g_block = leaves.exp_g_block(length, eps_g)
+        g_block = leaves.exp_g_block(length)
         for _ in range(count):
             psi = g_block @ amplified.apply_block(psi)
         # the segment oracle runs L times, each applying K dressed
@@ -662,8 +650,6 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         # twice; the length-tau rotation stage runs once per segment
         n_h2 = amplified.aa_degree * piece_cfg.big_k * count
         segments += count
-        expg_stage += count
-        expg_grid += 2 * n_h2
         queries = _merge_profiles(
             (queries, 1),
             (_structural_oracle_profile(graph, 2 * n_h2 + count, n_h2), 1))
@@ -675,8 +661,7 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     norm_deficit = float(1.0 - np.linalg.norm(psi))
     report = RunReport(
         t, eps, method, segments, cfg.big_k, cfg.big_d, tau, alpha1, alpha2,
-        expg_stage, expg_grid, queries,
-        {"segment_series": eps_seg, "segment_amplification": eps_aa,
-         "rotation": eps_g},
+        queries,
+        {"segment_series": eps_seg, "segment_amplification": eps_aa},
         norm_deficit)
     return psi, report

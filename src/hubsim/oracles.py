@@ -198,16 +198,6 @@ class QueryDerivedOK:
         is_hub = degree >= self.graph.n_nodes - self.graph.h_param
         return i, z ^ int(is_hub)
 
-    def as_gate(self) -> PermutationGate:
-        """Exhaustive table over all rows (costs N reconstructions)."""
-        n = self.graph.n_nodes
-        perm = np.empty(2 * n, dtype=np.int64)
-        for i in range(n):
-            _, flipped = self.classical_apply(i, 0)
-            perm[i * 2] = i * 2 + (flipped & 1)
-            perm[i * 2 + 1] = i * 2 + (1 ^ (flipped & 1))
-        return PermutationGate(perm, label="O_K(query)")
-
 
 class QueryDerivedOZ:
     """Missing-link positions of a hub row rebuilt from neighbor queries.

@@ -191,6 +191,9 @@ class Operation(LinearOperator):
         self.label = label
 
     def act(self, block: np.ndarray, adjoint: bool) -> np.ndarray:
+        """The primitive (or its adjoint) on a (2**width, batch) block.
+        Returns a new array, never a view of ``block``: the dense path
+        writes the result back over the slice ``block`` was read from."""
         raise NotImplementedError
 
     def _instructions(self, qmap, controls, adjoint):
@@ -316,12 +319,6 @@ def x_gate() -> DenseGate:
     return DenseGate(_X1, label="X")
 
 
-def rz_gate(theta: float) -> DenseGate:
-    """diag(e^{-i theta/2}, e^{+i theta/2})."""
-    return DenseGate(np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)]),
-                     label="RZ")
-
-
 def phase1_gate(phi: float) -> DenseGate:
     """diag(1, e^{i phi}) on one qubit."""
     return DenseGate(np.diag([1.0, np.exp(1j * phi)]), label="P1")
@@ -434,11 +431,12 @@ class LazyCircuit(LinearOperator):
 
 
 def _run(arr: np.ndarray, width: int, instructions) -> np.ndarray:
+    """Run the instructions on a copy of ``arr``, updated in place."""
     batch = arr.shape[1]
-    tensor = np.ascontiguousarray(arr, dtype=np.complex128).reshape(
+    tensor = np.array(arr, dtype=np.complex128, order="C").reshape(
         (2,) * width + (batch,))
     for prim, axes, controls, adjoint in instructions:
-        tensor = _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint)
+        _apply_primitive(tensor, prim, axes, controls, adjoint)
         if hasattr(prim, "on_applied"):
             prim.on_applied()
     return tensor.reshape(2 ** width, batch)
@@ -450,25 +448,19 @@ def _check_disjoint(prim, axes, controls) -> None:
         raise RegisterError(f"{prim.label}: control and target qubits overlap")
 
 
-def _apply_primitive(tensor, width, batch, prim, axes, controls, adjoint):
-    k = prim.width
+def _apply_primitive(tensor, prim, axes, controls, adjoint) -> None:
+    """One primitive in place: the control bits index a view of
+    ``tensor``, the targets move to the front of it, and the primitive's
+    result is written back through that view."""
     _check_disjoint(prim, axes, controls)
-    ctrl_axes = tuple(a for a, _ in controls)
-    front = ctrl_axes + axes
-    c = len(ctrl_axes)
-    moved = np.moveaxis(tensor, front, range(len(front)))
-    moved_shape = moved.shape
-    work = np.ascontiguousarray(moved).reshape(2 ** c, 2 ** k, -1)
-    if c == 0:
-        work = prim.act(work[0], adjoint).reshape(1, 2 ** k, -1)
-    else:
-        idx = 0
-        for _, bit in controls:
-            idx = (idx << 1) | bit
-        work = work.copy()
-        work[idx] = prim.act(work[idx], adjoint)
-    work = work.reshape(moved_shape)
-    return np.moveaxis(work, range(len(front)), front)
+    index = [slice(None)] * tensor.ndim
+    for a, bit in controls:
+        index[a] = bit
+    # indexing drops the control axes, shifting each target after one
+    targets = [a - sum(c < a for c, _ in controls) for a in axes]
+    view = np.moveaxis(tensor[tuple(index)], targets, range(len(axes)))
+    out = prim.act(view.reshape(2 ** prim.width, -1), adjoint)
+    view[...] = out.reshape(view.shape)
 
 
 # -- sparse columns ------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_criterion_8_scaling_regression(tmp_path):
     for t in t_values:
         _, report = dyson.simulate_full(g, t, 1e-2, psi0,
                                         method="classical-ff")
-        calls.append(report.expg_stage_calls)
+        calls.append(report.segments)
     slope, intercept = np.polyfit(t_values, calls, 1)
     for t, measured in zip(t_values, calls):
         fitted = slope * t + intercept

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import hubsim
 from hubsim import dyson, netgraph, refcheck
-from hubsim.blockenc import fixed_point_aa
+from hubsim.blockenc import EPS_FLOOR, fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
@@ -62,22 +62,21 @@ def test_default_config_schedule(dg8):
 
 
 def test_selectg_d0_identity(dg8):
-    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
     assert spectral_norm(sel.d_block(0) - np.eye(8)) <= 1e-8
 
 
 def test_selectg_last_grid_point(dg8, dg8_dense):
-    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
     target = refcheck.dense_expm(dg8_dense["G"], (3.0 / 4.0) * 0.5)
     assert spectral_norm(sel.d_block(3) - target) <= 1e-8
 
 
 def test_selectg_all_grid_points_within_eps(dg8, dg8_dense):
-    eps = 1e-10
-    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.7, big_d=8, eps=eps)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.7, big_d=8)
     for d in range(8):
         target = refcheck.dense_expm(dg8_dense["G"], (d / 8.0) * 0.7)
-        assert spectral_norm(sel.d_block(d) - target) <= eps
+        assert spectral_norm(sel.d_block(d) - target) <= 1e-10
 
 
 @pytest.mark.parametrize("log_d", [1, 2, 3])
@@ -87,7 +86,7 @@ def test_select_slices_are_the_per_t_evolutions(dg8, log_d):
     big_d = 2 ** log_d
     tau = 0.37 * big_d
     leaves = LeafBlocks(dg8)
-    sel = dyson.build_selectG(leaves, tau, big_d, 1e-6)
+    sel = dyson.build_selectG(leaves, tau, big_d)
     assert (sel.m, sel.query_profile()) == (0, {"O_H": 2})
     for d in range(big_d):
         per_t = build_expG(leaves.oracles, tau * d / big_d, 1e-6).block()
@@ -96,13 +95,13 @@ def test_select_slices_are_the_per_t_evolutions(dg8, log_d):
 
 def test_selectg_requires_power_of_two(dg8):
     with pytest.raises(ConfigurationError):
-        dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=6, eps=1e-6)
+        dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=6)
 
 
 def test_selectg_honest_circuit_block_diagonal(dg8):
     # 5-qubit extraction of the whole select (no ancilla): the grid
     # register never mixes, and diagonal blocks match the algebraic path
-    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-2)
+    sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
     assert (sel.m, sel.unitary.width) == (0, 5)
     circ_block = extract_block(sel.unitary, sel.n_sys)
     alg_block = sel.block()
@@ -119,36 +118,35 @@ def test_selectg_honest_circuit_block_diagonal(dg8):
 def test_full_grid_blocks_are_resource_guarded(dg8):
     # log2(4096) + 3 = 15 system qubits: a (D 2^n)^2 dense block of 16 GiB
     sel = dyson.build_selectG(LeafBlocks(dg8, "classical-ff"), tau=1.0 / 16.0,
-                              big_d=4096, eps=1e-2)
+                              big_d=4096)
     with pytest.raises(ResourceError) as err:
         sel.block()
     assert err.value.stage == "select_g"
     dr = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"),
-                                tau=1.0 / 16.0, big_d=4096, eps=1e-2)
+                                tau=1.0 / 16.0, big_d=4096)
     with pytest.raises(ResourceError) as err:
         dr.block()
     assert err.value.stage == "dressed_h2"
 
 
 def test_dressed_d0_is_residual(dg8, dg8_dense):
-    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-8)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     target = (dg8_dense["A"] - dg8_dense["G"]) / dr.alpha
     assert spectral_norm(dr.d_block(0) - target) <= 1e-10
 
 
 def test_dressed_blocks_match_dense_conjugation(dg8, dg8_dense):
-    eps = 1e-8
-    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=eps)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     residual = dg8_dense["A"] - dg8_dense["G"]
     for d in range(4):
         s = (d / 4.0) * 0.5
         rot = refcheck.dense_expm(dg8_dense["G"], s)
         target = rot.conj().T @ residual @ rot / dr.alpha
-        assert spectral_norm(dr.d_block(d) - target) <= eps
+        assert spectral_norm(dr.d_block(d) - target) <= 1e-8
 
 
 def test_dressed_blocks_unitarily_similar(dg8):
-    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-9)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     base = np.sort(np.linalg.eigvalsh(dr.d_block(0)))
     for d in range(1, 4):
         evals = np.sort(np.linalg.eigvalsh(dr.d_block(d)))
@@ -156,7 +154,7 @@ def test_dressed_blocks_unitarily_similar(dg8):
 
 
 def test_dressed_register_bookkeeping(dg8):
-    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4, eps=1e-6)
+    dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     assert dr.alpha == 8.0
     assert dr.m == 3 + 6  # the residual's ancillas; the select has none
     # the circuit: select on (d, sys), residual on (h2bank, sys), select^dag
@@ -198,9 +196,7 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
     _, alpha2 = dyson.evolution_scales(graph)
     tau = 1.0 / (2.0 * alpha2)
     eps = 1e-3
-    # same per-unitary budget as the segment's own select cascade
-    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d,
-                                     eps * 2.5 / 4.0)
+    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d)
     b_grid = [dressed.d_block(d) for d in range(big_d)]
     dim = 2 ** graph.n_qubits
     # doubling conjugates whole products by one bit evolution, which equals
@@ -760,9 +756,11 @@ def test_simulate_report_contents(dg8):
                                     method="classical-ff")
     doc = report.as_dict()
     for key in ("t", "eps", "segments", "K", "D", "queries",
-                "expG_stage_calls", "expG_grid_calls", "norm_deficit"):
+                "norm_deficit"):
         assert key in doc
-    assert doc["expG_stage_calls"] == doc["segments"]
+    # the rotation and the time select are exact and claim no budget
+    assert set(doc["budget"]) == {"segment_series", "segment_amplification"}
+    assert not [key for key in doc if key.startswith("expG_")]
     assert set(doc["queries"]) == {"O_A", "O_H", "O_K", "O_L", "O_Z"}
     from hubsim.jsonio import dump_json
     assert dump_json(doc)  # serializable
@@ -786,11 +784,10 @@ def _built_queries(graph, t, eps, method, monkeypatch):
     # the full pieces come first, and a fractional piece runs once
     fractional = len(amplified) - 1
     counts = [report.segments - fractional] + [1] * fractional
-    leaves = LeafBlocks(graph, method)
+    oracles = LeafBlocks(graph, method).oracles
     total = Counter()
     for (seg, amp), count in zip(amplified, counts):
-        rotation = leaves.exp_g_encoding(seg.config.tau,
-                                         report.budget["rotation"])
+        rotation = build_expG(oracles, seg.config.tau, EPS_FLOOR)
         for profile in (amp.query_profile(), rotation.query_profile()):
             total.update({key: count * val for key, val in profile.items()})
     return report, dict(total)
@@ -809,14 +806,12 @@ def test_report_queries_equal_built_circuits(graph_key, t, eps, method,
              else netgraph.generate(*graph_key))
     report, built = _built_queries(graph, t, eps, method, monkeypatch)
     assert report.queries == built
-    # the report's select count is the tally's: two selects per dressed
-    # residual (which queries O_Z twice), plus one rotation per segment,
-    # each rank-two circuit at two O_H
+    # each dressed residual queries O_L twice and O_H twice itself, and
+    # applies two time selects; each segment applies one rotation; every
+    # rank-two circuit queries O_H twice
     if graph.m_hubs:
-        n_h2 = report.queries["O_Z"] // 2
-        assert report.expg_grid_calls == 2 * n_h2
-        assert report.queries["O_H"] == 2 * n_h2 + 2 * (
-            report.expg_grid_calls + report.expg_stage_calls)
+        n_h2 = report.queries["O_L"] // 2
+        assert report.queries["O_H"] == 6 * n_h2 + 2 * report.segments
 
 
 def test_structural_profile_matches_enumeration(dg8):
@@ -826,8 +821,8 @@ def test_structural_profile_matches_enumeration(dg8):
     from hubsim.dyson import _structural_oracle_profile
     for graph in (dg8, netgraph.generate(8, 0, 2, 1, 0)):
         leaves = LeafBlocks(graph)
-        parts = (leaves.exp_g_encoding(0.25, 1e-4),
-                 dyson.build_selectG(leaves, 0.25, 8, 1e-4),
+        parts = (build_expG(leaves.oracles, 0.25, 1e-4),
+                 dyson.build_selectG(leaves, 0.25, 8),
                  leaves.h2_encoding())
         combined = Counter()
         for be in parts:
