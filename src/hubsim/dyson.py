@@ -13,13 +13,13 @@ a time grid of size D:
 
 and the original-frame step is exp(-iG tau) applied after the segment.
 
-The per-order totals D^k C_k are evaluated by grid doubling (Chen's
-identity for iterated sums over joined intervals): the grid evolutions
-E(d) are products of log2(D) bit evolutions E_j, all functions of G, so
-they commute and the residual on the upper half of a doubled grid is the
-lower half conjugated by one bit evolution.  That turns the D-point sums
-into log2(D) merge steps of (K+1)(K+2)/2 matmuls each; the bit evolutions
-are checked to commute before the merge.
+The grid evolutions E(d) = exp(-iG d tau/D) are read off one triple
+(A, B, C), exp(-iGt) = A + z B + conj(z) C with z = e^{i lambda t}.  The
+per-order totals D^k C_k are evaluated by grid doubling (Chen's identity
+for iterated sums over joined intervals): the bit evolutions E(2^j)
+commute when the triple does, so the residual on the upper half of a
+doubled grid is the lower half conjugated by one bit evolution.  That
+turns the D-point sums into log2(D) merge steps of (K+1)(K+2)/2 matmuls.
 
 The segment circuit holds the order k in unary: K qubits, of which order k
 sets the first k.  A chain of K two-level rotations, each controlled on the
@@ -33,14 +33,14 @@ Every Dyson object is built from two leaf encodings, exp(-iGt) and the
 residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
 builder here takes it and nothing it already carries.  The "circuit" tier
-extracts each leaf block from its circuit (the exact rank-two evolutions
-of ``ffhub``, the sparse-piece encodings); the "classical-ff" tier
-substitutes the verified dense blocks, which keeps the combinatorial
-assembly testable up to larger N.  Since the evolution circuits are exact,
-the two tiers agree to rounding.  The rotation stage applies the same
-exp(-iG tau) block in both tiers.  The time select sum_d |d><d| (x)
-exp(-iG d tau/D) is the same rank-two circuit with its phases controlled
-on the grid register: no ancilla and two O_H queries whatever D is.
+extracts the residual from its sparse-piece encodings and, once per
+solve, the exp(-iGt) triple from the exact rank-two circuit of ``ffhub``
+at lambda t = 0, pi/2 and pi; "classical-ff" forms the triple the same
+way from the rank-two fast path and substitutes the dense residual, which
+keeps the assembly testable up to larger N.  The tiers agree to rounding.
+The time select sum_d |d><d| (x) exp(-iG d tau/D) is the same rank-two
+circuit with its phases controlled on the grid register: no ancilla and
+two O_H queries whatever D is.
 Combined blocks follow the exact composition rules for disjoint ancilla
 banks, so no full-width state is ever materialized.  The composite
 circuits (the time select, the dressed residual, the segment) carry
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,19 +145,35 @@ def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
 # -- leaf blocks --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PhaseAffineEvolution:
+    """exp(-iGt) = A + z B + conj(z) C, z = e^{i lam t}, lam the link norm;
+    exactly, A = I - P+ - P-, B = P-, C = P+ (eigenprojectors of G)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lam: float
+
+    def at(self, t: float) -> np.ndarray:
+        z = np.exp(1j * self.lam * t)
+        return self.a + z * self.b + z.conjugate() * self.c
+
+
 class LeafBlocks:
     """Leaf-block source of one solve, and the one holder of its graph,
     oracle set and tier.
 
     ``method`` names the tier as in ``simulate_full``: "circuit" extracts
-    every leaf block from its circuit, "classical-ff" substitutes the
+    the leaf blocks from their circuits, "classical-ff" substitutes the
     verified dense forms.  The graph is validated here, once.  One source
-    per solve builds the residual encoding once and drops it with the
-    solve.  The exp(-iGt) circuits are exact, so they take no share of the
-    error budget.  The oracle set is built on first use when none is
-    given; one built on another graph raises ``ParameterError``.  Both
-    tiers hold dense N x N blocks, so a graph past the dense-block cap
-    raises ``ResourceError`` before anything is validated or built.
+    per solve builds the residual encoding and the exp(-iGt) triple once
+    each and drops them with the solve.  The exp(-iGt) circuits are exact,
+    so they take no share of the error budget.  The oracle set is built
+    on first use when none is given; one built on another graph raises
+    ``ParameterError``.  Both tiers hold dense N x N blocks, so a graph
+    past the dense-block cap raises ``ResourceError`` before anything is
+    validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -180,13 +197,27 @@ class LeafBlocks:
             self._oracles = build_oracle_set(self.graph)
         return self._oracles
 
-    def exp_g_block(self, t: float) -> np.ndarray:
-        """The N x N block of exp(-iGt): extracted from its exact circuit,
-        or from the rank-two fast path."""
-        if self.method == "circuit":
-            return build_expG(self.oracles, t, EPS_FLOOR).block()
+    @cached_property
+    def evolution(self) -> PhaseAffineEvolution:
+        """The exp(-iGt) triple.  With X_th the block at lambda t = th,
+        extracted from the circuit or applied by the rank-two fast path:
+        A = (X_0 + X_pi)/2, B + C = (X_0 - X_pi)/2, B - C = -i (X_pi/2 - A).
+        Without hubs it is (I, 0, 0) and nothing is built."""
+        lam = link_norm(self.graph)
         eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
-        return classical_expG_apply(self.graph, t, eye)
+        x_0, x_half, x_pi = (eye, eye, eye) if lam == 0.0 else (
+            build_expG(self.oracles, theta / lam, EPS_FLOOR).block()
+            if self.method == "circuit"
+            else classical_expG_apply(self.graph, theta / lam, eye)
+            for theta in (0.0, 0.5 * math.pi, math.pi))
+        a = 0.5 * (x_0 + x_pi)
+        half_sum, half_diff = 0.25 * (x_0 - x_pi), -0.5j * (x_half - a)
+        return PhaseAffineEvolution(a, half_sum + half_diff,
+                                    half_sum - half_diff, lam)
+
+    def exp_g_block(self, t: float) -> np.ndarray:
+        """The N x N block of exp(-iGt), read off ``evolution``."""
+        return self.evolution.at(t)
 
     def h2_encoding(self) -> BlockEncoding:
         if self._h2 is None:
@@ -206,38 +237,25 @@ class LeafBlocks:
         return dense / alpha2, alpha2, m_book
 
 
-def _grid_blocks(bit_blocks: list[np.ndarray], lo: int, hi: int,
-                 dim: int) -> np.ndarray:
-    """E(d) for d in [lo, hi): products of the selected bit evolutions,
-    later bits applied later (left)."""
-    count = hi - lo
-    out = np.broadcast_to(np.eye(dim, dtype=np.complex128),
-                          (count, dim, dim)).copy()
-    d_vals = np.arange(lo, hi)
-    for j, blk in enumerate(bit_blocks):
-        mask = (d_vals >> j) & 1 == 1
-        if np.any(mask):
-            out[mask] = blk @ out[mask]
-    return out
-
-
 # -- time select and dressed residual ------------------------------------------
 
 
 class SelectGEncoding(BlockEncoding):
     """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
 
-    D = 2^len(bit_blocks), and the ancillas are the qubits of the unitary
-    beyond the log2(D) + n system qubits.  Subclasses change only ``_at``,
-    the block at one grid point as a function of its evolution E(d)."""
+    E(d) = A + z^d B + conj(z)^d C, z = e^{i lambda tau/D}, from the triple
+    ``evolution``; the ancillas are the qubits of the unitary beyond the
+    log2(D) + n system qubits.  Subclasses change only ``_at``, the block
+    at one grid point as a function of E(d)."""
 
     stage = "select_g"
 
-    def __init__(self, unitary, bit_blocks, alpha=1.0):
-        self.bit_blocks = bit_blocks
-        self.big_d = 2 ** len(bit_blocks)
-        self._dim = bit_blocks[0].shape[0]
-        n_sys = len(bit_blocks) + int(math.log2(self._dim))
+    def __init__(self, unitary, evolution: PhaseAffineEvolution, tau: float,
+                 big_d: int, alpha=1.0):
+        self.evolution = evolution
+        self.tau = tau
+        self.big_d = big_d
+        n_sys = int(math.log2(big_d * evolution.a.shape[0]))
         super().__init__(unitary, alpha, unitary.width - n_sys, n_sys,
                          label=self.stage)
 
@@ -245,19 +263,16 @@ class SelectGEncoding(BlockEncoding):
         return e_d
 
     def d_block(self, d: int) -> np.ndarray:
-        return self._at(_grid_blocks(self.bit_blocks, d, d + 1, self._dim)[0])
+        return self._at(self.evolution.at(self.tau * d / self.big_d))
 
     def _full_block(self) -> np.ndarray:
         # the dense block spans log2(D) + n system qubits
         check_dense_block(self.n_sys, self.stage)
-        dim = self._dim
-        total = np.zeros((self.big_d * dim, self.big_d * dim),
-                         dtype=np.complex128)
-        grid = _grid_blocks(self.bit_blocks, 0, self.big_d, dim)
+        dim = self.evolution.a.shape[0]
+        total = np.zeros((self.big_d, dim) * 2, dtype=np.complex128)
         for d in range(self.big_d):
-            total[d * dim:(d + 1) * dim, d * dim:(d + 1) * dim] = \
-                self._at(grid[d])
-        return total
+            total[d, :, d] = self.d_block(d)
+        return total.reshape(2 ** self.n_sys, 2 ** self.n_sys)
 
 
 def build_selectG(leaves: LeafBlocks, tau: float,
@@ -265,20 +280,17 @@ def build_selectG(leaves: LeafBlocks, tau: float,
     """Time select over a log2(D)-qubit grid register: the exact rank-two
     circuit of ``ffhub`` with its two phases controlled bit by bit on d,
     so it has no ancilla, makes two O_H queries whatever D is and claims
-    eps 0.  Its blocks are the products of the bit evolutions
-    exp(-iG tau 2^j / D) that ``leaves``, the solve's leaf source,
-    supplies; the circuit is built on first use.
+    eps 0.  Its blocks are read off the exp(-iGt) triple of ``leaves``,
+    the solve's leaf source; the circuit is built on first use.
     """
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
     log_d = int(math.log2(big_d))
-    bit_blocks = [leaves.exp_g_block(tau * (2 ** j) / big_d)
-                  for j in range(log_d)]
     unitary = LazyCircuit(
         log_d + leaves.graph.n_qubits,
         lambda: _rank_two_circuit(leaves.oracles, tau / big_d, log_d),
         label="select_g")
-    return SelectGEncoding(unitary, bit_blocks)
+    return SelectGEncoding(unitary, leaves.evolution, tau, big_d)
 
 
 class DressedResidualEncoding(SelectGEncoding):
@@ -288,7 +300,8 @@ class DressedResidualEncoding(SelectGEncoding):
 
     def __init__(self, unitary, select, h2_block, alpha2):
         self.h2_norm_block = h2_block
-        super().__init__(unitary, select.bit_blocks, alpha=alpha2)
+        super().__init__(unitary, select.evolution, select.tau, select.big_d,
+                         alpha=alpha2)
 
     def _at(self, e_d: np.ndarray) -> np.ndarray:
         return e_d.conj().T @ self.h2_norm_block @ e_d
@@ -324,53 +337,55 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float,
 # -- segment assembly ----------------------------------------------------------
 
 
-def _check_commuting(bit_blocks) -> None:
-    """Raise EncodingError unless every pair of bit evolutions commutes to
-    within 1e-12 (largest entry of the commutator)."""
-    stack = np.stack(bit_blocks)
-    for i in range(len(bit_blocks) - 1):
-        rest = stack[i + 1:]
-        comm = stack[i] @ rest - rest @ stack[i]
-        worst = float(np.max(np.abs(comm)))
-        if worst > 1e-12:
-            raise EncodingError(
-                f"bit evolutions do not commute: max|[E_{i}, E_j]| = "
-                f"{worst:.3e} > 1e-12")
+def _check_commuting(evolution: PhaseAffineEvolution) -> None:
+    """Raise EncodingError unless [A, B], [A, C] and [B, C] of the triple
+    are within 1e-12 (largest entry).  For E_i = A + z_i B + conj(z_i) C,
+    |z_i| = 1, [E_i, E_j] = (z_j - z_i)[A, B] + conj(z_j - z_i)[A, C] +
+    2i Im(z_i conj(z_j))[B, C] with coefficients of modulus <= 2, so every
+    bit-evolution commutator stays within 6e-12."""
+    a, b, c = evolution.a, evolution.b, evolution.c
+    worst = max(float(np.max(np.abs(x @ y - y @ x)))
+                for x, y in ((a, b), (a, c), (b, c)))
+    if worst > 1e-12:
+        raise EncodingError(f"exp(-iGt) triple does not commute: largest "
+                            f"commutator entry {worst:.3e} > 1e-12")
 
 
-def _ordered_series_totals(bit_blocks, h2_block: np.ndarray,
+def _ordered_series_totals(dressed: DressedResidualEncoding,
                            big_k: int) -> list[np.ndarray]:
     """T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), k = 0 .. K,
-    with B(d) = E(d)^dag H2 E(d) the normalized dressed residual at grid
-    point d.
+    with B(d) = E(d)^dag H2 E(d) = ``dressed.d_block(d)`` the normalized
+    dressed residual at grid point d and E_j = E(2^j) the bit evolutions.
 
     Grid doubling (Chen's identity for iterated sums over joined
     intervals): the totals over [0, 2^(j+1)) split by how many indices fall
     in the upper half [2^j, 2^(j+1)), where B(d + 2^j) = E_j^dag B(d) E_j
-    because all bit evolutions E_j are functions of G and commute.  Starting
-    from the single point d=0, where T_k = H2^k, each bit block, low to
-    high, updates
+    because E(d + 2^j) = E(d) E_j and the evolutions commute, as they do
+    when the triple does.  Starting from the single point d=0, where
+    T_k = H2^k, each bit block, low to high, updates
 
         T_k <- sum_{a+b=k} U_a T_b,   U_0 = I,  U_a = E_j^dag T_a E_j,
 
     for log2(D) (K+1)(K+2)/2 matmuls in all.  U_0 is the exact identity
-    because extracted circuit-tier blocks are unitary only to within their
-    encoding error; a block with unitarity defect delta moves T_k off the
-    D-point sum by about k log2(D) delta relative.  Raises EncodingError
-    when the bit blocks do not commute to 1e-12.
+    because the bit evolutions are unitary only to rounding; one with
+    unitarity defect delta moves T_k off the D-point sum by about
+    k log2(D) delta relative.  Raises EncodingError when the triple does
+    not commute to 1e-12 (see ``_check_commuting``).
     """
+    h2_block = dressed.h2_norm_block
     dim = h2_block.shape[0]
     eye = np.eye(dim, dtype=np.complex128)
     if big_k == 0:
         return [eye]
-    _check_commuting(bit_blocks)
+    _check_commuting(dressed.evolution)
     # series[k - 1] holds T_k for k = 1 .. K; the a = 1 .. k-1 products of
     # one order are batched into a single matmul call
     series = np.empty((big_k, dim, dim), dtype=np.complex128)
     series[0] = h2_block
     for k in range(1, big_k):
         series[k] = h2_block @ series[k - 1]
-    for e_j in bit_blocks:
+    for j in range(int(math.log2(dressed.big_d))):
+        e_j = dressed.evolution.at(dressed.tau * 2 ** j / dressed.big_d)
         upper = e_j.conj().T @ series @ e_j
         joined = series + upper
         for k in range(2, big_k + 1):
@@ -510,8 +525,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
     log_d = int(math.log2(big_d))
     dressed = build_dressed_H2(leaves, tau, big_d)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
-    totals = _ordered_series_totals(dressed.bit_blocks, dressed.h2_norm_block,
-                                    big_k)
+    totals = _ordered_series_totals(dressed, big_k)
 
     m_seg = sum(width for _, width in
                 _segment_registers(big_k, log_d, dressed.m, n)[:-1])

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import tracemalloc
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import flat_counts, random_graph_params
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hubsim
@@ -199,12 +200,13 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
     dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d)
     b_grid = [dressed.d_block(d) for d in range(big_d)]
     dim = 2 ** graph.n_qubits
+    log_d = int(np.log2(big_d))
     # doubling conjugates whole products by one bit evolution, which equals
     # the product of conjugated factors only up to the unitarity defect of
-    # the extracted blocks (rounding in the circuit tier, 0 when dense)
+    # the bit evolutions formed from the triple (rounding in both tiers)
     defect = max(spectral_norm(e.conj().T @ e - np.eye(dim))
-                 for e in dressed.bit_blocks)
-    log_d = int(np.log2(big_d))
+                 for e in (dressed.evolution.at(tau * 2 ** j / big_d)
+                           for j in range(log_d)))
     for big_k in (1, 2, 3):
         seg = dyson.dyson_segment(LeafBlocks(graph, method),
                                   DysonConfig(tau, big_d, big_k, eps),
@@ -222,21 +224,19 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
                 <= (1e-10 + k * log_d * defect) * scale
 
 
-def test_series_totals_reject_noncommuting_bit_blocks():
-    rng = np.random.default_rng(5)
-
-    def random_unitary(dim):
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q, r = np.linalg.qr(z)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-    h2 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(np.complex128)
-    diagonal = [np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
-                for _ in range(3)]
-    assert len(dyson._ordered_series_totals(diagonal, h2, 2)) == 3
-    blocks = [random_unitary(8) for _ in range(3)]
-    with pytest.raises(EncodingError):
-        dyson._ordered_series_totals(blocks, h2, 2)
+def test_series_totals_reject_noncommuting_bit_blocks(dg8):
+    # the bit evolutions commute when the exp(-iGt) triple does, so the
+    # check reads the triple: dg8's own triple passes, and a triple with
+    # any one member perturbed off the commuting set is refused
+    z = np.random.default_rng(5).normal(size=(8, 8, 2)) @ [1.0, 1j]
+    dressed = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"), 0.5, 8)
+    evolution = dressed.evolution
+    assert len(dyson._ordered_series_totals(dressed, 2)) == 3
+    for member in ("a", "b", "c"):
+        dressed.evolution = dataclasses.replace(
+            evolution, **{member: getattr(evolution, member) + 1e-6 * z})
+        with pytest.raises(EncodingError):
+            dyson._ordered_series_totals(dressed, 2)
 
 
 def test_segment_first_order_hub_free():
@@ -587,21 +587,85 @@ def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
 
 
 def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
-    # one full segment and a fractional one; every build_expG call of the
-    # solve must ask for a distinct (t, eps)
+    # every exp(-iGt) of a solve (bit evolutions, grid points, rotations of
+    # the full pieces and the fractional one) is read off one triple: three
+    # build_expG calls on dg8, where each was extracted before (26), and
+    # none without hubs.  The tallies still count every rank-two circuit
+    # the algorithm runs.
     calls = []
     build = dyson.build_expG
 
-    def counting(oracles, t, eps, *args, **kwargs):
-        calls.append((t, eps))
-        return build(oracles, t, eps, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(dyson, "build_expG", counting)
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[0] = 1.0
-    dyson.simulate_full(dg8, 0.1, 1e-2, psi0, method="circuit")
-    assert calls
-    assert len(calls) == len(set(calls))
+    _, report = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
+    lam = np.sqrt(12.0)
+    assert calls == pytest.approx([0.0, 0.5 * np.pi / lam, np.pi / lam])
+    assert report.queries == {"O_H": 22920, "O_A": 22878, "O_K": 38130,
+                              "O_L": 7626, "O_Z": 7626}
+    calls.clear()
+    hub_free = netgraph.generate(8, 0, 2, 1, 0)
+    dyson.simulate_full(hub_free, 1.3, 1e-2, psi0, method="circuit")
+    assert calls == []
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_hub_free_triple_is_the_identity(monkeypatch, method):
+    # lambda = 0: the triple is (I, 0, 0), with no exp(-iGt) built or
+    # applied and no division by lambda, and the solve still reaches the
+    # exact evolution
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp(-iGt) built on a hub-free graph")
+
+    monkeypatch.setattr(dyson, "build_expG", refuse)
+    monkeypatch.setattr(dyson, "classical_expG_apply", refuse)
+    g = netgraph.generate(8, 0, 2, 1, 0)
+    leaves = LeafBlocks(g, method)
+    evolution = leaves.evolution
+    assert evolution.lam == 0.0
+    assert np.array_equal(evolution.a, np.eye(8))
+    assert not np.any(evolution.b) and not np.any(evolution.c)
+    for t in (0.0, 0.3, 100.0):
+        assert np.array_equal(leaves.exp_g_block(t), np.eye(8))
+    psi0 = np.full(8, 1.0 / np.sqrt(8.0), dtype=np.complex128)
+    psi, _ = dyson.simulate_full(g, 1.0, 1e-2, psi0, method=method)
+    ref = refcheck.dense_expm(g.dense_adjacency(), 1.0) @ psi0
+    assert refcheck.distance(psi, ref) <= 1e-2
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_exp_g_block_at_t0_is_the_identity(dg8, method):
+    block = LeafBlocks(dg8, method).exp_g_block(0.0)
+    assert np.max(np.abs(block - np.eye(8))) <= 1e-15
+
+
+_TRIPLE_PARAMS = [p for p in random_graph_params()
+                  if p[0] <= 32 and p[1] in (1, 2, 4)] \
+    + [(16, 1, 4, 1), (8, 4, 4, 4), (32, 4, 8, 4), (32, 1, 8, 4)]
+
+
+@settings(max_examples=25)
+@given(params=st.sampled_from(_TRIPLE_PARAMS), seed=st.integers(0, 2 ** 16),
+       t=st.floats(0.0, 100.0),
+       method=st.sampled_from(["circuit", "classical-ff"]))
+@example(params=(32, 2, 8, 4), seed=3, t=100.0, method="circuit")
+@example(params=(32, 4, 8, 4), seed=1, t=100.0, method="classical-ff")
+@example(params=(16, 1, 4, 1), seed=5, t=0.0, method="circuit")
+def test_triple_forms_every_exp_g_block(params, seed, t, method):
+    # the block formed from the three-extraction triple is the block of
+    # the exp(-iGt) circuit at t, and the exact evolution
+    graph = netgraph.generate(*params, rng_seed=seed)
+    leaves = LeafBlocks(graph, method)
+    block = leaves.exp_g_block(t)
+    direct = build_expG(leaves.oracles, t, 1e-12).block()
+    dense = refcheck.dense_expm(
+        graph.dense_link_matrix().astype(np.complex128), t)
+    assert np.max(np.abs(block - direct)) <= 1e-12
+    assert np.max(np.abs(block - dense)) <= 1e-12
 
 
 def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
