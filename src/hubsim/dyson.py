@@ -34,10 +34,11 @@ residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
 builder here takes it and nothing it already carries.  The "circuit" tier
 extracts the residual from its sparse-piece encodings and, once per
-solve, the exp(-iGt) triple from the exact rank-two circuit of ``ffhub``
-at lambda t = 0, pi/2 and pi; "classical-ff" forms the triple the same
-way from the rank-two fast path and substitutes the dense residual, which
-keeps the assembly testable up to larger N.  The tiers agree to rounding.
+solve, forms the exp(-iGt) triple from the two eigenvector columns the
+preparations of ``ffhub``'s exact rank-two circuit write on |0>;
+"classical-ff" forms the triple from the eigenvectors of the rank-two
+spectrum and substitutes the dense residual, which keeps the assembly
+testable up to larger N.  The tiers agree to rounding.
 The time select sum_d |d><d| (x) exp(-iG d tau/D) is the same rank-two
 circuit with its phases controlled on the grid register: no ancilla and
 two O_H queries whatever D is.
@@ -58,12 +59,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockenc import (EPS_FLOOR, BlockEncoding, fixed_point_aa,
-                       unitary_with_first_column)
+from .blockenc import BlockEncoding, fixed_point_aa, unitary_with_first_column
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError)
-from .ffhub import (_rank_two_circuit, build_expG, classical_expG_apply,
-                    link_norm)
+from .ffhub import _rank_two_circuit, link_norm, prepared_state, spectrum_G
+# unused: perfbench/layertrace.py rebinds both here until it is retargeted
+from .ffhub import build_expG, classical_expG_apply  # noqa: F401
 from .netgraph import HubSparseGraph, validate
 from .oracles import OracleSet, build_oracle_set
 from .qstate import (Circuit, DenseGate, FunctionalPermutation, LazyCircuit,
@@ -147,13 +148,28 @@ def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
 
 @dataclass(frozen=True)
 class PhaseAffineEvolution:
-    """exp(-iGt) = A + z B + conj(z) C, z = e^{i lam t}, lam the link norm;
-    exactly, A = I - P+ - P-, B = P-, C = P+ (eigenprojectors of G)."""
+    """exp(-iGt) = A + z B + conj(z) C, z = e^{i lam t}, lam the link norm.
+
+    With P = v+ v+^dag and Q = v- v-^dag the projectors onto the prepared
+    eigenvectors, exp(-iGt) = (I + (conj(z) - 1) P)(I + (z - 1) Q), so
+    A = I - P - Q + 2PQ, B = Q - PQ and C = P - PQ (``from_vectors``);
+    PQ = <v+|v-> |v+><v-| vanishes up to rounding."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     lam: float
+
+    @classmethod
+    def from_vectors(cls, v_plus: np.ndarray, v_minus: np.ndarray,
+                     lam: float) -> "PhaseAffineEvolution":
+        """The triple of the eigenvectors v+- of eigenvalues +-lam; either
+        sign of each vector gives the same triple."""
+        p = np.outer(v_plus, v_plus.conj())
+        q = np.outer(v_minus, v_minus.conj())
+        pq = np.vdot(v_plus, v_minus) * np.outer(v_plus, v_minus.conj())
+        eye = np.eye(len(v_plus), dtype=np.complex128)
+        return cls(eye - p - q + 2.0 * pq, q - pq, p - pq, lam)
 
     def at(self, t: float) -> np.ndarray:
         z = np.exp(1j * self.lam * t)
@@ -168,7 +184,8 @@ class LeafBlocks:
     the leaf blocks from their circuits, "classical-ff" substitutes the
     verified dense forms.  The graph is validated here, once.  One source
     per solve builds the residual encoding and the exp(-iGt) triple once
-    each and drops them with the solve.  The exp(-iGt) circuits are exact,
+    each and drops them with the solve; the triple costs two N-entry
+    columns, not an N x N extraction.  The exp(-iGt) circuits are exact,
     so they take no share of the error budget.  The oracle set is built
     on first use when none is given; one built on another graph raises
     ``ParameterError``.  Both tiers hold dense N x N blocks, so a graph
@@ -199,21 +216,23 @@ class LeafBlocks:
 
     @cached_property
     def evolution(self) -> PhaseAffineEvolution:
-        """The exp(-iGt) triple.  With X_th the block at lambda t = th,
-        extracted from the circuit or applied by the rank-two fast path:
-        A = (X_0 + X_pi)/2, B + C = (X_0 - X_pi)/2, B - C = -i (X_pi/2 - A).
-        Without hubs it is (I, 0, 0) and nothing is built."""
-        lam = link_norm(self.graph)
-        eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
-        x_0, x_half, x_pi = (eye, eye, eye) if lam == 0.0 else (
-            build_expG(self.oracles, theta / lam, EPS_FLOOR).block()
-            if self.method == "circuit"
-            else classical_expG_apply(self.graph, theta / lam, eye)
-            for theta in (0.0, 0.5 * math.pi, math.pi))
-        a = 0.5 * (x_0 + x_pi)
-        half_sum, half_diff = 0.25 * (x_0 - x_pi), -0.5j * (x_half - a)
-        return PhaseAffineEvolution(a, half_sum + half_diff,
-                                    half_sum - half_diff, lam)
+        """The exp(-iGt) triple from the two eigenvector columns: the
+        circuit tier runs the preparations V+- of the rank-two circuit
+        once each on |0>, one O_H query apiece; "classical-ff" takes psi+-
+        of the rank-two spectrum.  Without hubs it is (I, 0, 0) and
+        nothing is built."""
+        if not self.graph.m_hubs:
+            eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
+            return PhaseAffineEvolution(eye, np.zeros_like(eye),
+                                        np.zeros_like(eye), 0.0)
+        if self.method == "circuit":
+            v_plus, v_minus = (prepared_state(self.oracles, sign)
+                               for sign in (+1, -1))
+        else:
+            spec = spectrum_G(self.graph)
+            v_plus, v_minus = spec.psi_plus, spec.psi_minus
+        return PhaseAffineEvolution.from_vectors(v_plus, v_minus,
+                                                 link_norm(self.graph))
 
     def exp_g_block(self, t: float) -> np.ndarray:
         """The N x N block of exp(-iGt), read off ``evolution``."""

@@ -28,6 +28,11 @@ the phase e^{i theta} on |0^n>.  Since V Z0(theta) V^dag = I +
 where the inner O_H^dag O_H and H^m H^m cancel: two O_H queries and no
 other.  S+ is a top-down chain of two-level rotations (see
 ``_split_prep``); Z0(theta) is one phase gate with n - 1 zero-controls.
+``_preparation`` builds V+- as its factors (S+-, O_H H^m), from which the
+circuit takes its pieces, and ``prepared_state`` runs it on |0^n>: with
+z = e^{i lambda t}, P = v+ v+^dag and Q = v- v-^dag for v+- = V+- |0^n>,
+the block is exactly (I + (conj(z) - 1) P)(I + (z - 1) Q), so two
+columns, one O_H query each, give exp(-iGt) at every t.
 
 The time select sum_d |d><d| (x) exp(-iG t d) over a log2(D)-qubit grid
 register d is the same circuit with each Z0(-+lambda t d) written as
@@ -126,23 +131,54 @@ def _split_prep(k: int) -> Circuit:
     return circ
 
 
+def _preparation(oracles: OracleSet, sign: int) -> tuple[Circuit, Circuit]:
+    """V+- = O_H H^m S+- on the n system qubits, as its two factors (S+-,
+    O_H H^m): V+ |0^n> = psi+ and V- |0^n> = -psi-.  S+ is ``_split_prep``
+    on the upper n - m qubits and S- = Z0(pi) S+.  Needs hubs."""
+    n = oracles.graph.n_qubits
+    m = oracles.graph.m_hubs.bit_length() - 1
+    layout = RegisterLayout(("sys", n))
+    split = Circuit(layout, label="split")
+    split.append(_split_prep(n - m), on=[("sys", 0, n - m)])
+    if sign < 0:
+        split.append(DenseGate(np.diag([-1.0, 1.0]), label="Z0"),
+                     qubits=[0], controls=[(q, 0) for q in range(1, n)])
+    mix = Circuit(layout, label="mix")
+    if m:
+        mix.append(hadamard_layer(m), on=[("sys", n - m, n)])
+    mix.append(oracles.o_h, on=["sys"])
+    return split, mix
+
+
+def prepared_state(oracles: OracleSet, sign: int) -> np.ndarray:
+    """V+- |0^n> (psi+ for sign +1, -psi- for sign -1): the preparation run
+    once on the basis column |0>, one O_H query.  Needs hubs."""
+    dim = 2 ** oracles.graph.n_qubits
+    column = np.zeros((dim, 1), dtype=np.complex128)
+    column[0, 0] = 1.0
+    for factor in _preparation(oracles, sign):
+        column = factor.apply_to_array(column, factor.width)
+    return column[:, 0]
+
+
 def _rank_two_circuit(oracles: OracleSet, t: float, log_d: int = 0) -> Circuit:
     """exp(-iGt) on the n system qubits when log_d = 0; with a log_d-qubit
     grid register d in front, sum_d |d><d| (x) exp(-iG t d).  Exact, no
-    ancilla, two O_H queries (none without hubs, where it is empty)."""
+    ancilla, two O_H queries (none without hubs, where it is empty):
+    V+ Z0(-lambda t) V+^dag V- Z0(lambda t) V-^dag with the inner O_H H^m
+    factors cancelled."""
     graph = oracles.graph
     n = graph.n_qubits
     layout = RegisterLayout(("d", log_d), ("sys", n))
     circ = Circuit(layout, label="rank_two")
     if not graph.m_hubs:
         return circ
-    m = graph.m_hubs.bit_length() - 1
-    up, low = ("sys", 0, n - m), ("sys", n - m, n)
     lam = link_norm(graph)
     sys_axes = layout.axes("sys")
     on_zero = [(q, 0) for q in sys_axes[1:]]
     grid = [[(axis, 1)] for axis in reversed(layout.axes("d"))] or [[]]
-    split = _split_prep(n - m)
+    s_plus, mix = _preparation(oracles, +1)
+    s_minus, _ = _preparation(oracles, -1)
 
     def z0(theta):
         # e^{i theta d} on |0^n>: bit j of d (weight 2^j) adds theta 2^j;
@@ -152,24 +188,14 @@ def _rank_two_circuit(oracles: OracleSet, t: float, log_d: int = 0) -> Circuit:
             circ.append(DenseGate(phase, label="Z0"), qubits=sys_axes[:1],
                         controls=on_zero + ctrl)
 
-    def flip():  # Z0(pi): S- = Z0(pi) S+
-        circ.append(DenseGate(np.diag([-1.0, 1.0]), label="Z0"),
-                    qubits=sys_axes[:1], controls=on_zero)
-
-    circ.append(oracles.o_h, on=["sys"], adjoint=True)
-    if m:
-        circ.append(hadamard_layer(m), on=[low])
-    flip()
-    circ.append(split, on=[up], adjoint=True)
+    circ.append(mix, on=["sys"], adjoint=True)
+    circ.append(s_minus, on=["sys"], adjoint=True)
     z0(lam * t)
-    circ.append(split, on=[up])
-    flip()
-    circ.append(split, on=[up], adjoint=True)
+    circ.append(s_minus, on=["sys"])
+    circ.append(s_plus, on=["sys"], adjoint=True)
     z0(-lam * t)
-    circ.append(split, on=[up])
-    if m:
-        circ.append(hadamard_layer(m), on=[low])
-    circ.append(oracles.o_h, on=["sys"])
+    circ.append(s_plus, on=["sys"])
+    circ.append(mix, on=["sys"])
     return circ
 
 

@@ -65,25 +65,18 @@ class OracleGate(PermutationGate):
         self.counter.hit(self.oracle_name)
 
 
-def _row_tables(graph: HubSparseGraph):
-    """Per-row neighbor order r(l, i) and missing-link order q(l, i)."""
-    n = graph.n_nodes
-    hubset = set(graph.hubs)
-    r_rows, q_rows = [], []
-    for i in range(n):
-        nbrs = list(graph.adj[i])
-        nbr_set = set(nbrs)
-        zeros = sorted(v for v in range(n) if v not in nbr_set and v != i)
-        zeros_with_diag = sorted(zeros + [i])
-        r_rows.append(nbrs + zeros_with_diag)
-        if i in hubset:
-            q_head = zeros_with_diag
-            q_tail = nbrs
-        else:
-            q_head = [u for u in sorted(hubset) if not graph.has_edge(i, u)]
-            head_set = set(q_head)
-            q_tail = [v for v in range(n) if v not in head_set]
-        q_rows.append(q_head + q_tail)
+def _row_tables(a_dense: np.ndarray, hub_flag: np.ndarray):
+    """Per-row neighbor order r(l, i) and missing-link order q(l, i), as
+    N x N int64 arrays, by one stable sort per table: each row lists first
+    the columns whose sort key is 0, then the rest, both ascending.
+
+    r puts the neighbors first.  q puts the zero entries first on a hub
+    row (the diagonal counts as a zero, the neighbors follow) and the
+    non-adjacent hubs first on a regular row."""
+    zero = a_dense == 0
+    r_rows = np.argsort(zero, axis=1, kind="stable")
+    q_first = np.where(hub_flag[:, None], zero, zero & hub_flag[None, :])
+    q_rows = np.argsort(~q_first, axis=1, kind="stable")
     return r_rows, q_rows
 
 
@@ -96,35 +89,32 @@ class OracleSet:
         n = graph.n_nodes
         if 2 ** graph.n_qubits != n:
             raise OracleContractError("node count must be a power of two")
-        hubs = list(graph.hubs)
-        self._r_rows, self._q_rows = _row_tables(graph)
-
         a_dense = graph.dense_adjacency()
+        hub_flag = graph.hub_mask()
+        self._r_rows, self._q_rows = _row_tables(a_dense, hub_flag)
+
         base = np.arange(n * n * 2, dtype=np.int64)
         ij = base >> 1
         flip = a_dense.reshape(-1).astype(np.int64)
         perm_a = (ij << 1) | ((base & 1) ^ flip[ij])
         self.o_a = OracleGate(perm_a, "O_A", self.counter)
 
-        perm_l = np.empty(n * n, dtype=np.int64)
-        for i in range(n):
-            perm_l[i * n:(i + 1) * n] = i * n + np.asarray(self._r_rows[i])
-        self.o_l = OracleGate(perm_l, "O_L", self.counter)
+        row_base = np.arange(n, dtype=np.int64)[:, None] * n
+        self.o_l = OracleGate((row_base + self._r_rows).reshape(-1), "O_L",
+                              self.counter)
 
-        non_hubs = [v for v in range(n) if v not in set(hubs)]
-        self.o_h = OracleGate(np.asarray(hubs + non_hubs, dtype=np.int64),
-                              "O_H", self.counter)
+        # hubs ascending, then the non-hub nodes ascending
+        self.o_h = OracleGate(np.argsort(~hub_flag, kind="stable"), "O_H",
+                              self.counter)
 
-        hub_flag = graph.hub_mask().astype(np.int64)
         base = np.arange(n * 2, dtype=np.int64)
         i_part = base >> 1
-        perm_k = (i_part << 1) | ((base & 1) ^ hub_flag[i_part])
+        hub_bit = hub_flag.astype(np.int64)
+        perm_k = (i_part << 1) | ((base & 1) ^ hub_bit[i_part])
         self.o_k = OracleGate(perm_k, "O_K", self.counter)
 
-        perm_z = np.empty(n * n, dtype=np.int64)
-        for i in range(n):
-            perm_z[i * n:(i + 1) * n] = i * n + np.asarray(self._q_rows[i])
-        self.o_z = OracleGate(perm_z, "O_Z", self.counter)
+        self.o_z = OracleGate((row_base + self._q_rows).reshape(-1), "O_Z",
+                              self.counter)
 
     def gates(self) -> dict[str, OracleGate]:
         return {"O_A": self.o_a, "O_L": self.o_l, "O_H": self.o_h,
@@ -156,7 +146,7 @@ class _RowProbe:
     def r(self, l: int) -> int:
         if l not in self._r_cache:
             self.oracles.counter.hit("O_L", 2)
-            self._r_cache[l] = self.oracles._r_rows[self.i][l]
+            self._r_cache[l] = int(self.oracles._r_rows[self.i, l])
         return self._r_cache[l]
 
     def is_edge_at(self, l: int) -> bool:

@@ -26,14 +26,16 @@ The one entry point is `LinearOperator.apply_to_array`, which runs an
 operator on a batch of amplitude columns over its full width.
 `extract_block` reads an encoded block column by column from the same
 primitive stream in two representations.  A batch of columns starts
-sparse, as (column, basis index, amplitude) entries: permutations remap
-indices, controls select entries, dense gates multiply only the slices
-their entries touch, so a leaf block whose columns hold a few nonzeros
-costs what those nonzeros need, not 2^width amplitudes each.  Once the
-support passes a fixed share of the batch's amplitudes, the entries are
-scattered into the dense array and the rest of the stream runs on the
-dense path of `apply_to_array`.  Operators are immutable once built and
-safe for concurrent reads; the input array is never modified.
+sparse, as (column, basis index, amplitude) entries: permutations
+(oracles, X, register swaps) remap indices, one shift and mask per run
+of adjacent target bits, controls select entries, dense gates multiply
+only the slices their entries touch, so a leaf block whose columns hold
+a few nonzeros costs what those nonzeros need, not 2^width amplitudes
+each.  Once the support passes a fixed share of the batch's amplitudes,
+the entries are scattered into the dense array and the rest of the
+stream runs on the dense path of `apply_to_array`.  Operators are
+immutable once built and safe for concurrent reads; the input array is
+never modified.
 """
 
 from __future__ import annotations
@@ -287,7 +289,6 @@ def register_swap(k: int) -> FunctionalPermutation:
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_X1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 class _HadamardLayer(Operation):
@@ -315,8 +316,9 @@ def hadamard_layer(k: int) -> Operation:
     return _HadamardLayer(k, label=f"H^{k}")
 
 
-def x_gate() -> DenseGate:
-    return DenseGate(_X1, label="X")
+def x_gate() -> PermutationGate:
+    """X as the permutation |0> <-> |1>, so sparse columns remap it."""
+    return PermutationGate(np.array([1, 0]), label="X")
 
 
 def phase1_gate(phi: float) -> DenseGate:
@@ -470,20 +472,34 @@ def _apply_primitive(tensor, prim, axes, controls, adjoint) -> None:
 # axis a is bit width - 1 - a of the basis index.
 
 
+def _runs(shifts: list[int]) -> list[tuple[int, int]]:
+    """(lowest shift, length) of each run of ``shifts`` that steps down by
+    one, in order: a run's bits keep their order from the key to the local
+    index, so one shift-and-mask moves all of them."""
+    runs: list[tuple[int, int]] = []
+    for s in shifts:
+        if runs and runs[-1][0] - 1 == s:
+            runs[-1] = (s, runs[-1][1] + 1)
+        else:
+            runs.append((s, 1))
+    return runs
+
+
 def _gather(key: np.ndarray, shifts: list[int]) -> np.ndarray:
     """Local index of the bits at ``shifts`` (first most significant)."""
     local = np.zeros_like(key)
-    for s in shifts:
-        local = (local << 1) | ((key >> s) & 1)
+    for low, length in _runs(shifts):
+        local = (local << length) | ((key >> low) & ((1 << length) - 1))
     return local
 
 
 def _spread(local: np.ndarray, shifts: list[int]) -> np.ndarray:
     """Inverse of ``_gather``: the local index's bits placed at ``shifts``."""
-    k = len(shifts)
+    pos = len(shifts)
     out = np.zeros_like(local)
-    for pos, s in enumerate(shifts):
-        out |= ((local >> (k - 1 - pos)) & 1) << s
+    for low, length in _runs(shifts):
+        pos -= length
+        out |= ((local >> pos) & ((1 << length) - 1)) << low
     return out
 
 

@@ -20,6 +20,7 @@ from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
 from hubsim.ffhub import build_expG
+from hubsim.oracles import build_oracle_set
 from hubsim.qstate import DenseGate, LazyCircuit, extract_block, spectral_norm
 
 
@@ -588,29 +589,28 @@ def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
 
 def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     # every exp(-iGt) of a solve (bit evolutions, grid points, rotations of
-    # the full pieces and the fractional one) is read off one triple: three
-    # build_expG calls on dg8, where each was extracted before (26), and
-    # none without hubs.  The tallies still count every rank-two circuit
-    # the algorithm runs.
-    calls = []
-    build = dyson.build_expG
+    # the full pieces and the fractional one) is read off one triple, formed
+    # from the two eigenvector preparations run once each on |0>: no
+    # build_expG call and two O_H queries, and none of either without hubs.
+    # The tallies still count every rank-two circuit the algorithm runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_expG called by a solve")
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(dyson, "build_expG", counting)
+    monkeypatch.setattr(dyson, "build_expG", refuse)
+    oracles = build_oracle_set(dg8)
+    leaves = LeafBlocks(dg8, "circuit", oracles)
+    leaves.evolution
+    assert {k: v for k, v in oracles.counter.snapshot().items() if v} \
+        == {"O_H": 2}
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[0] = 1.0
     _, report = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
-    lam = np.sqrt(12.0)
-    assert calls == pytest.approx([0.0, 0.5 * np.pi / lam, np.pi / lam])
     assert report.queries == {"O_H": 22920, "O_A": 22878, "O_K": 38130,
                               "O_L": 7626, "O_Z": 7626}
-    calls.clear()
-    hub_free = netgraph.generate(8, 0, 2, 1, 0)
-    dyson.simulate_full(hub_free, 1.3, 1e-2, psi0, method="circuit")
-    assert calls == []
+    hub_free = build_oracle_set(netgraph.generate(8, 0, 2, 1, 0))
+    LeafBlocks(hub_free.graph, "circuit", hub_free).evolution
+    assert not any(hub_free.counter.snapshot().values())
+    dyson.simulate_full(hub_free.graph, 1.3, 1e-2, psi0, method="circuit")
 
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
@@ -643,8 +643,7 @@ def test_exp_g_block_at_t0_is_the_identity(dg8, method):
     assert np.max(np.abs(block - np.eye(8))) <= 1e-15
 
 
-_TRIPLE_PARAMS = [p for p in random_graph_params()
-                  if p[0] <= 32 and p[1] in (1, 2, 4)] \
+_TRIPLE_PARAMS = [p for p in random_graph_params() if p[0] <= 32] \
     + [(16, 1, 4, 1), (8, 4, 4, 4), (32, 4, 8, 4), (32, 1, 8, 4)]
 
 
@@ -655,9 +654,15 @@ _TRIPLE_PARAMS = [p for p in random_graph_params()
 @example(params=(32, 2, 8, 4), seed=3, t=100.0, method="circuit")
 @example(params=(32, 4, 8, 4), seed=1, t=100.0, method="classical-ff")
 @example(params=(16, 1, 4, 1), seed=5, t=0.0, method="circuit")
+@example(params=(16, 1, 4, 1), seed=5, t=2.5, method="classical-ff")
+@example(params=(8, 4, 4, 4), seed=1, t=2.5, method="circuit")
+@example(params=(8, 4, 4, 4), seed=1, t=0.0, method="classical-ff")
+@example(params=(8, 0, 2, 1), seed=0, t=1.7, method="circuit")
+@example(params=(8, 0, 2, 1), seed=0, t=0.0, method="classical-ff")
 def test_triple_forms_every_exp_g_block(params, seed, t, method):
-    # the block formed from the three-extraction triple is the block of
-    # the exp(-iGt) circuit at t, and the exact evolution
+    # the block formed from the two-column triple is the block of the
+    # exp(-iGt) circuit at t, and the exact evolution: M=1 (no Hadamard
+    # layer), M=N/2 (one upper qubit), hub-free and t=0 in both tiers
     graph = netgraph.generate(*params, rng_seed=seed)
     leaves = LeafBlocks(graph, method)
     block = leaves.exp_g_block(t)
@@ -726,7 +731,6 @@ def test_leaf_blocks_refuse_graphs_past_the_dense_cap(monkeypatch, method):
 
 
 def test_leaf_blocks_reject_a_foreign_oracle_set():
-    from hubsim.oracles import build_oracle_set
     g1 = netgraph.generate(16, 2, 4, 2, rng_seed=1)
     foreign = build_oracle_set(netgraph.generate(16, 2, 4, 2, rng_seed=2))
     with pytest.raises(ParameterError):
@@ -804,8 +808,7 @@ def test_layer_tracer_finds_its_entry_points(dg8, monkeypatch):
         hubsim.simulate_full(dg8, 0.1, 1e-2, psi0, method="circuit")
     traced = {span.func for span in tracer.spans}
     assert {"dyson.simulate_full", "dyson.dyson_segment",
-            "dyson.build_selectG", "ffhub.build_expG",
-            "sparse_enc.encode_H2"} <= traced
+            "dyson.build_selectG", "sparse_enc.encode_H2"} <= traced
 
 
 def test_export_list_resolves():
@@ -876,6 +879,17 @@ def test_report_queries_equal_built_circuits(graph_key, t, eps, method,
     if graph.m_hubs:
         n_h2 = report.queries["O_L"] // 2
         assert report.queries["O_H"] == 6 * n_h2 + 2 * report.segments
+
+
+def test_dg8_segment_counts_are_pinned(dg8):
+    # the assembled dg8 segment at t=1.3, eps=1e-2 (K=8, D=4096): its
+    # rank-two, residual and flag circuits keep their gates and queries
+    # whatever primitive the engine remaps or multiplies
+    leaves = LeafBlocks(dg8)
+    seg = dyson.dyson_segment(leaves, default_config(dg8, 1.3, 1e-2))
+    assert seg.gate_count() == 1054
+    assert seg.query_profile() == {"O_H": 48, "O_Z": 16, "O_A": 48,
+                                   "O_K": 80, "O_L": 16}
 
 
 def test_structural_profile_matches_enumeration(dg8):

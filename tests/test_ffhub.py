@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hubsim import ffhub, netgraph, refcheck
 from hubsim.errors import ParameterError
 from hubsim.oracles import build_oracle_set
-from hubsim.qstate import (Circuit, DenseGate, RegisterLayout, extract_block,
-                           hadamard_layer, spectral_norm)
+from hubsim.qstate import extract_block, spectral_norm
 
 
 def test_spectrum_values_dg8(dg8):
@@ -51,29 +50,13 @@ def test_spectrum_degenerate_raises():
         ffhub.spectrum_G(g)
 
 
-def _prepared(oracles, sign):
-    """V+- |0^n> with V+- = O_H H^m S+-, S- = Z0(pi) S+: the eigenvector
-    preparations inside the rank-two circuit."""
-    graph = oracles.graph
-    n, m = graph.n_qubits, graph.m_hubs.bit_length() - 1
-    layout = RegisterLayout(("sys", n))
-    circ = Circuit(layout)
-    circ.append(ffhub._split_prep(n - m), on=[("sys", 0, n - m)])
-    if sign < 0:
-        circ.append(DenseGate(np.diag([-1.0, 1.0])), qubits=[0],
-                    controls=[(q, 0) for q in range(1, n)])
-    if m:
-        circ.append(hadamard_layer(m), on=[("sys", n - m, n)])
-    circ.append(oracles.o_h, on=["sys"])
-    return extract_block(circ, n)[:, 0]
-
-
 def test_p_pm_alpha_and_direction(dg8, dg8_oracles):
     # the preparations are exact unitaries (factor 1, no ancilla): V+ |0>
     # is psi+ and V- |0> is -psi-
     spec = ffhub.spectrum_G(dg8)
     for sign, target in ((+1, spec.psi_plus), (-1, -spec.psi_minus)):
-        assert np.max(np.abs(_prepared(dg8_oracles, sign) - target)) < 1e-15
+        prepared = ffhub.prepared_state(dg8_oracles, sign)
+        assert np.max(np.abs(prepared - target)) < 1e-15
 
 
 def test_p_pm_alpha_half_hubs():
@@ -81,8 +64,9 @@ def test_p_pm_alpha_half_hubs():
     g = netgraph.generate(8, 4, 4, 4, rng_seed=1)
     spec = ffhub.spectrum_G(g)
     oracles = build_oracle_set(g)
-    assert np.max(np.abs(_prepared(oracles, +1) - spec.psi_plus)) < 1e-15
-    assert np.max(np.abs(_prepared(oracles, -1) + spec.psi_minus)) < 1e-15
+    v_plus, v_minus = (ffhub.prepared_state(oracles, s) for s in (+1, -1))
+    assert np.max(np.abs(v_plus - spec.psi_plus)) < 1e-15
+    assert np.max(np.abs(v_minus + spec.psi_minus)) < 1e-15
 
 
 @pytest.mark.parametrize("k", range(1, 7))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import basis_state, run
+from conftest import basis_state, random_graph_params, run
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hubsim import netgraph
 from hubsim.errors import OracleContractError
-from hubsim.oracles import (build_oracle_set, derive_OK_by_query,
+from hubsim.oracles import (_RowProbe, build_oracle_set, derive_OK_by_query,
                             derive_OZ_by_query)
 from hubsim.qstate import RegisterLayout
 
@@ -167,3 +169,54 @@ def test_oz_regular_rows_enumerate_missing_hubs(dg8):
     assert oracles._q_rows[0][0] == 6
     # node 1 is adjacent to both hubs: no missing-hub head, tail starts at 0
     assert oracles._q_rows[1][0] == 0
+
+
+def _tables_by_loops(graph):
+    """r(l, i), q(l, i) and the five oracle tables as loops over the
+    neighbor lists build them: the reference for the array form."""
+    n = graph.n_nodes
+    hubset = set(graph.hubs)
+    r_rows, q_rows = [], []
+    for i in range(n):
+        nbrs = list(graph.adj[i])
+        nbr_set = set(nbrs)
+        zeros = sorted(v for v in range(n) if v not in nbr_set and v != i)
+        zeros_with_diag = sorted(zeros + [i])
+        r_rows.append(nbrs + zeros_with_diag)
+        if i in hubset:
+            q_head, q_tail = zeros_with_diag, nbrs
+        else:
+            q_head = [u for u in sorted(hubset) if not graph.has_edge(i, u)]
+            head_set = set(q_head)
+            q_tail = [v for v in range(n) if v not in head_set]
+        q_rows.append(q_head + q_tail)
+    perm_l = [i * n + r for i in range(n) for r in r_rows[i]]
+    perm_z = [i * n + q for i in range(n) for q in q_rows[i]]
+    perm_h = list(graph.hubs) + [v for v in range(n) if v not in hubset]
+    perm_a = [(i * n + j) << 1 | (z ^ graph.has_edge(i, j))
+              for i in range(n) for j in range(n) for z in (0, 1)]
+    perm_k = [i << 1 | (z ^ graph.is_hub(i)) for i in range(n) for z in (0, 1)]
+    return r_rows, q_rows, {"O_A": perm_a, "O_L": perm_l, "O_H": perm_h,
+                            "O_K": perm_k, "O_Z": perm_z}
+
+
+_TABLE_PARAMS = [p for p in random_graph_params() if p[0] <= 32] \
+    + [(16, 1, 4, 1), (32, 1, 8, 1), (8, 4, 4, 4), (32, 2, 8, 1)]
+
+
+@given(params=st.sampled_from(_TABLE_PARAMS), seed=st.integers(0, 2 ** 16))
+@example(params=(8, 0, 2, 1), seed=0)
+@example(params=(16, 1, 4, 1), seed=5)
+@example(params=(32, 1, 8, 1), seed=2)
+def test_tables_match_the_row_loops(params, seed):
+    # M=0, M=1 and h=1 included; the tables are equal entry for entry
+    graph = netgraph.generate(*params, rng_seed=seed)
+    oracles = build_oracle_set(graph)
+    r_rows, q_rows, tables = _tables_by_loops(graph)
+    assert np.array_equal(oracles._r_rows, r_rows)
+    assert np.array_equal(oracles._q_rows, q_rows)
+    for name, gate in oracles.gates().items():
+        assert gate.perm.dtype == np.int64
+        assert np.array_equal(gate.perm, tables[name]), name
+    probe = _RowProbe(oracles, graph.n_nodes - 1)
+    assert type(probe.r(0)) is int and probe.r(0) == r_rows[-1][0]

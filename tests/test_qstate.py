@@ -469,3 +469,90 @@ def test_spectral_norm_stops_at_a_non_finite_iterate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(spectral_norm(mat))
+
+
+def _gather_by_bits(key, shifts):
+    """The bit-by-bit reference of ``qstate._gather``."""
+    local = np.zeros_like(key)
+    for s in shifts:
+        local = (local << 1) | ((key >> s) & 1)
+    return local
+
+
+def _spread_by_bits(local, shifts):
+    """The bit-by-bit reference of ``qstate._spread``."""
+    k = len(shifts)
+    out = np.zeros_like(local)
+    for pos, s in enumerate(shifts):
+        out |= ((local >> (k - 1 - pos)) & 1) << s
+    return out
+
+
+@st.composite
+def _shift_lists(draw):
+    """Distinct bit positions: empty, one bit, one ascending or descending
+    run, descending runs with gaps in any order, or any order at all."""
+    kind = draw(st.sampled_from(
+        ["empty", "single", "ascending", "descending", "split", "any"]))
+    if kind == "empty":
+        return []
+    if kind == "single":
+        return [draw(st.integers(0, 19))]
+    if kind in ("ascending", "descending"):
+        low, length = draw(st.integers(0, 15)), draw(st.integers(2, 5))
+        run = list(range(low, low + length))
+        return run if kind == "ascending" else run[::-1]
+    bits = draw(st.lists(st.integers(0, 19), unique=True, min_size=2,
+                         max_size=12))
+    if kind == "any":
+        return bits
+    runs = []
+    for b in sorted(bits, reverse=True):
+        if runs and runs[-1][-1] - 1 == b:
+            runs[-1].append(b)
+        else:
+            runs.append([b])
+    return [b for run in draw(st.permutations(runs)) for b in run]
+
+
+@settings(max_examples=60)
+@given(shifts=_shift_lists(), seed=st.integers(0, 2 ** 16))
+def test_bit_runs_match_the_bit_by_bit_remap(shifts, seed):
+    # keys carry column bits above the basis bits, as in extraction
+    rng = np.random.default_rng(seed)
+    key = rng.integers(0, 2 ** 26, size=64, dtype=np.int64)
+    local = rng.integers(0, 2 ** len(shifts), size=64, dtype=np.int64)
+    gathered = qstate._gather(key, shifts)
+    assert np.array_equal(gathered, _gather_by_bits(key, shifts))
+    assert np.array_equal(qstate._spread(local, shifts),
+                          _spread_by_bits(local, shifts))
+    # round trips both ways
+    assert np.array_equal(qstate._gather(qstate._spread(local, shifts),
+                                         shifts), local)
+    rest = key & ~sum(1 << s for s in shifts)
+    assert np.array_equal(rest | qstate._spread(gathered, shifts), key)
+
+
+_DENSE_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_permutation_x_extracts_as_the_dense_x(monkeypatch):
+    # X is a permutation table; the residual encodings built on it extract
+    # bitwise as with the dense X matrix, on the sparse path and on the
+    # dense one, and count the same
+    assert isinstance(x_gate(), PermutationGate)
+    oracles = build_oracle_set(netgraph.dg8())
+    with_perm = sparse_enc.encode_H2(oracles)
+    monkeypatch.setattr(sparse_enc, "x_gate",
+                        lambda: DenseGate(_DENSE_X, label="X"))
+    with_dense = sparse_enc.encode_H2(oracles)
+    assert np.array_equal(extract_block(with_perm.unitary, 3),
+                          extract_block(with_dense.unitary, 3))
+    width = with_perm.unitary.width
+    columns = np.eye(2 ** width, dtype=np.complex128)[:, :8]
+    assert np.array_equal(with_perm.unitary.apply_to_array(columns, width),
+                          with_dense.unitary.apply_to_array(columns, width))
+    for be in (with_perm, with_dense):
+        assert be.gate_count() == 41
+        assert be.query_profile() == {"O_A": 6, "O_K": 10, "O_H": 2,
+                                      "O_L": 2, "O_Z": 2}
