@@ -158,6 +158,7 @@ def cmd_simulate(args) -> int:
     dim = 2 ** graph.n_qubits
     psi0 = _load_psi0(args.psi0, dim)
     dyson.check_eps(args.eps)
+    dyson.check_t(args.t)
 
     if args.method == "dense":
         dense_a = graph.dense_adjacency().astype(np.complex128)

@@ -13,13 +13,15 @@ a time grid of size D:
 
 and the original-frame step is exp(-iG tau) applied after the segment.
 
-The grid evolutions E(d) = exp(-iG d tau/D) are read off one triple
-(A, B, C), exp(-iGt) = A + z B + conj(z) C with z = e^{i lambda t}.  The
-per-order totals D^k C_k are evaluated by grid doubling (Chen's identity
-for iterated sums over joined intervals): the bit evolutions E(2^j)
-commute when the triple does, so the residual on the upper half of a
-doubled grid is the lower half conjugated by one bit evolution.  That
-turns the D-point sums into log2(D) merge steps of (K+1)(K+2)/2 matmuls.
+The grid evolutions E(d) = exp(-iG d tau/D) are read off one rank-two
+evolution, I + V diag(e^{-i lambda t} - 1, e^{i lambda t} - 1) V^dag
+with V the two eigenvector columns of G (``ffhub.RankTwoEvolution``).
+The per-order totals D^k C_k are evaluated by grid doubling (Chen's
+identity for iterated sums over joined intervals): the bit evolutions
+E(2^j) commute when the columns are orthonormal, so the residual on the
+upper half of a doubled grid is the lower half conjugated by one bit
+evolution.  That turns the D-point sums into log2(D) merge steps of
+(K+1)(K+2)/2 matmuls.
 
 The segment circuit holds the order k in unary: K qubits, of which order k
 sets the first k.  A chain of K two-level rotations, each controlled on the
@@ -34,11 +36,11 @@ residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
 builder here takes it and nothing it already carries.  The "circuit" tier
 extracts the residual from its sparse-piece encodings and, once per
-solve, forms the exp(-iGt) triple from the two eigenvector columns the
-preparations of ``ffhub``'s exact rank-two circuit write on |0>;
-"classical-ff" forms the triple from the eigenvectors of the rank-two
-spectrum and substitutes the dense residual, which keeps the assembly
-testable up to larger N.  The tiers agree to rounding.
+solve, takes the exp(-iGt) columns from the preparations of ``ffhub``'s
+exact rank-two circuit run on |0>; "classical-ff" takes them from the
+eigenvectors of the rank-two spectrum and substitutes the dense
+residual, which keeps the assembly testable up to larger N.  The tiers
+agree to rounding.
 The time select sum_d |d><d| (x) exp(-iG d tau/D) is the same rank-two
 circuit with its phases controlled on the grid register: no ancilla and
 two O_H queries whatever D is.
@@ -62,7 +64,7 @@ import numpy as np
 from .blockenc import BlockEncoding, fixed_point_aa, unitary_with_first_column
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError)
-from .ffhub import _rank_two_circuit, link_norm, prepared_state, spectrum_G
+from .ffhub import RankTwoEvolution, _rank_two_circuit, link_norm
 # unused: perfbench/layertrace.py rebinds both here until it is retargeted
 from .ffhub import build_expG, classical_expG_apply  # noqa: F401
 from .netgraph import HubSparseGraph, validate
@@ -122,6 +124,13 @@ def check_eps(eps: float) -> None:
         raise ParameterError(f"eps must be finite and positive, got {eps}")
 
 
+def check_t(t: float) -> None:
+    """Raise ``ParameterError`` unless the evolution time t is finite and
+    nonnegative."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ParameterError(f"t must be finite and nonnegative, got {t}")
+
+
 def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
     """Segment schedule for evolving time t within eps: tau = min(t,
     1/(2 alpha2)) with budget eps_segment = eps tau / t (eps when one
@@ -146,36 +155,6 @@ def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
 # -- leaf blocks --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseAffineEvolution:
-    """exp(-iGt) = A + z B + conj(z) C, z = e^{i lam t}, lam the link norm.
-
-    With P = v+ v+^dag and Q = v- v-^dag the projectors onto the prepared
-    eigenvectors, exp(-iGt) = (I + (conj(z) - 1) P)(I + (z - 1) Q), so
-    A = I - P - Q + 2PQ, B = Q - PQ and C = P - PQ (``from_vectors``);
-    PQ = <v+|v-> |v+><v-| vanishes up to rounding."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    lam: float
-
-    @classmethod
-    def from_vectors(cls, v_plus: np.ndarray, v_minus: np.ndarray,
-                     lam: float) -> "PhaseAffineEvolution":
-        """The triple of the eigenvectors v+- of eigenvalues +-lam; either
-        sign of each vector gives the same triple."""
-        p = np.outer(v_plus, v_plus.conj())
-        q = np.outer(v_minus, v_minus.conj())
-        pq = np.vdot(v_plus, v_minus) * np.outer(v_plus, v_minus.conj())
-        eye = np.eye(len(v_plus), dtype=np.complex128)
-        return cls(eye - p - q + 2.0 * pq, q - pq, p - pq, lam)
-
-    def at(self, t: float) -> np.ndarray:
-        z = np.exp(1j * self.lam * t)
-        return self.a + z * self.b + z.conjugate() * self.c
-
-
 class LeafBlocks:
     """Leaf-block source of one solve, and the one holder of its graph,
     oracle set and tier.
@@ -183,8 +162,8 @@ class LeafBlocks:
     ``method`` names the tier as in ``simulate_full``: "circuit" extracts
     the leaf blocks from their circuits, "classical-ff" substitutes the
     verified dense forms.  The graph is validated here, once.  One source
-    per solve builds the residual encoding and the exp(-iGt) triple once
-    each and drops them with the solve; the triple costs two N-entry
+    per solve builds the residual encoding and the exp(-iGt) columns once
+    each and drops them with the solve; the evolution costs two N-entry
     columns, not an N x N extraction.  The exp(-iGt) circuits are exact,
     so they take no share of the error budget.  The oracle set is built
     on first use when none is given; one built on another graph raises
@@ -215,28 +194,14 @@ class LeafBlocks:
         return self._oracles
 
     @cached_property
-    def evolution(self) -> PhaseAffineEvolution:
-        """The exp(-iGt) triple from the two eigenvector columns: the
-        circuit tier runs the preparations V+- of the rank-two circuit
-        once each on |0>, one O_H query apiece; "classical-ff" takes psi+-
-        of the rank-two spectrum.  Without hubs it is (I, 0, 0) and
-        nothing is built."""
-        if not self.graph.m_hubs:
-            eye = np.eye(2 ** self.graph.n_qubits, dtype=np.complex128)
-            return PhaseAffineEvolution(eye, np.zeros_like(eye),
-                                        np.zeros_like(eye), 0.0)
+    def evolution(self) -> RankTwoEvolution:
+        """exp(-iGt) as its two eigenvector columns: the circuit tier runs
+        the preparations V+- of the rank-two circuit once each on |0>, one
+        O_H query apiece; "classical-ff" takes psi+- of the rank-two
+        spectrum."""
         if self.method == "circuit":
-            v_plus, v_minus = (prepared_state(self.oracles, sign)
-                               for sign in (+1, -1))
-        else:
-            spec = spectrum_G(self.graph)
-            v_plus, v_minus = spec.psi_plus, spec.psi_minus
-        return PhaseAffineEvolution.from_vectors(v_plus, v_minus,
-                                                 link_norm(self.graph))
-
-    def exp_g_block(self, t: float) -> np.ndarray:
-        """The N x N block of exp(-iGt), read off ``evolution``."""
-        return self.evolution.at(t)
+            return RankTwoEvolution.of(self.graph, self.oracles)
+        return RankTwoEvolution.of(self.graph)
 
     def h2_encoding(self) -> BlockEncoding:
         if self._h2 is None:
@@ -262,19 +227,19 @@ class LeafBlocks:
 class SelectGEncoding(BlockEncoding):
     """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
 
-    E(d) = A + z^d B + conj(z)^d C, z = e^{i lambda tau/D}, from the triple
-    ``evolution``; the ancillas are the qubits of the unitary beyond the
-    log2(D) + n system qubits.  Subclasses change only ``_at``, the block
-    at one grid point as a function of E(d)."""
+    E(d) = exp(-iG d tau/D) is read off the rank-two ``evolution``; the
+    ancillas are the qubits of the unitary beyond the log2(D) + n system
+    qubits.  Subclasses change only ``_at``, the block at one grid point
+    as a function of E(d)."""
 
     stage = "select_g"
 
-    def __init__(self, unitary, evolution: PhaseAffineEvolution, tau: float,
+    def __init__(self, unitary, evolution: RankTwoEvolution, tau: float,
                  big_d: int, alpha=1.0):
         self.evolution = evolution
         self.tau = tau
         self.big_d = big_d
-        n_sys = int(math.log2(big_d * evolution.a.shape[0]))
+        n_sys = int(math.log2(big_d * len(evolution.v)))
         super().__init__(unitary, alpha, unitary.width - n_sys, n_sys,
                          label=self.stage)
 
@@ -287,7 +252,7 @@ class SelectGEncoding(BlockEncoding):
     def _full_block(self) -> np.ndarray:
         # the dense block spans log2(D) + n system qubits
         check_dense_block(self.n_sys, self.stage)
-        dim = self.evolution.a.shape[0]
+        dim = len(self.evolution.v)
         total = np.zeros((self.big_d, dim) * 2, dtype=np.complex128)
         for d in range(self.big_d):
             total[d, :, d] = self.d_block(d)
@@ -299,7 +264,7 @@ def build_selectG(leaves: LeafBlocks, tau: float,
     """Time select over a log2(D)-qubit grid register: the exact rank-two
     circuit of ``ffhub`` with its two phases controlled bit by bit on d,
     so it has no ancilla, makes two O_H queries whatever D is and claims
-    eps 0.  Its blocks are read off the exp(-iGt) triple of ``leaves``,
+    eps 0.  Its blocks are read off the exp(-iGt) evolution of ``leaves``,
     the solve's leaf source; the circuit is built on first use.
     """
     if big_d < 2 or big_d & (big_d - 1):
@@ -356,18 +321,28 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float,
 # -- segment assembly ----------------------------------------------------------
 
 
-def _check_commuting(evolution: PhaseAffineEvolution) -> None:
-    """Raise EncodingError unless [A, B], [A, C] and [B, C] of the triple
-    are within 1e-12 (largest entry).  For E_i = A + z_i B + conj(z_i) C,
-    |z_i| = 1, [E_i, E_j] = (z_j - z_i)[A, B] + conj(z_j - z_i)[A, C] +
-    2i Im(z_i conj(z_j))[B, C] with coefficients of modulus <= 2, so every
-    bit-evolution commutator stays within 6e-12."""
-    a, b, c = evolution.a, evolution.b, evolution.c
-    worst = max(float(np.max(np.abs(x @ y - y @ x)))
-                for x, y in ((a, b), (a, c), (b, c)))
+def _check_commuting(evolution: RankTwoEvolution) -> None:
+    """Raise EncodingError unless the columns V of the evolution are
+    orthonormal to 1e-12: delta = ||V^dag V - I||max <= 1e-12.
+
+    Write V^dag V = I + Delta (so ||Delta|| <= 2 delta for the 2 x 2
+    Delta, and ||V||^2 <= 1 + 2 delta) and E = I + V C V^dag with
+    C = diag(c+, c-), c+- = e^{-+i lam t} - 1, |c+-| <= 2.  Diagonal C's
+    commute, so [E_i, E_j] = V (C_i Delta C_j - C_j Delta C_i) V^dag: the
+    diagonal of Delta cancels and each off-diagonal entry is Delta_+- times
+    a term of modulus <= 8, so every bit-evolution commutator is within
+    8 delta (1 + 2 delta) in spectral norm, which also bounds its largest
+    entry.  As conj(c) + c + |c|^2 = 0 on |1 + c| = 1, E^dag E - I =
+    V C^dag Delta C V^dag: a norm defect or an overlap alone moves it by at
+    most about 4 delta, both together by 8 delta (1 + 2 delta), so
+    ||E|| <= 1 + 4 delta to first order.  Columns whose evolutions commute
+    but are not unitary (a column norm off 1) are refused too."""
+    v = evolution.v
+    gram_defect = v.conj().T @ v - np.eye(v.shape[1])
+    worst = float(np.max(np.abs(gram_defect), initial=0.0))
     if worst > 1e-12:
-        raise EncodingError(f"exp(-iGt) triple does not commute: largest "
-                            f"commutator entry {worst:.3e} > 1e-12")
+        raise EncodingError(f"exp(-iGt) columns are not orthonormal: Gram "
+                            f"defect {worst:.3e} > 1e-12")
 
 
 def _ordered_series_totals(dressed: DressedResidualEncoding,
@@ -380,16 +355,16 @@ def _ordered_series_totals(dressed: DressedResidualEncoding,
     intervals): the totals over [0, 2^(j+1)) split by how many indices fall
     in the upper half [2^j, 2^(j+1)), where B(d + 2^j) = E_j^dag B(d) E_j
     because E(d + 2^j) = E(d) E_j and the evolutions commute, as they do
-    when the triple does.  Starting from the single point d=0, where
-    T_k = H2^k, each bit block, low to high, updates
+    when the columns are orthonormal.  Starting from the single point
+    d=0, where T_k = H2^k, each bit block, low to high, updates
 
         T_k <- sum_{a+b=k} U_a T_b,   U_0 = I,  U_a = E_j^dag T_a E_j,
 
     for log2(D) (K+1)(K+2)/2 matmuls in all.  U_0 is the exact identity
     because the bit evolutions are unitary only to rounding; one with
     unitarity defect delta moves T_k off the D-point sum by about
-    k log2(D) delta relative.  Raises EncodingError when the triple does
-    not commute to 1e-12 (see ``_check_commuting``).
+    k log2(D) delta relative.  Raises EncodingError when the columns are
+    not orthonormal to 1e-12 (see ``_check_commuting``).
     """
     h2_block = dressed.h2_norm_block
     dim = h2_block.shape[0]
@@ -559,6 +534,8 @@ def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
     """Unnormalized segment block truncated at a lower order, from the
     per-order totals of an already assembled segment encoding."""
     totals = be.series_totals
+    if big_k < 0:
+        raise ParameterError(f"order {big_k} is negative")
     if big_k >= len(totals):
         raise ParameterError(f"segment was assembled only up to order "
                              f"{len(totals) - 1}")
@@ -636,13 +613,12 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     and a reduced-length final segment for the remainder.  ``method``
     selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
     every leaf from its circuit, "classical-ff" substitutes the verified
-    dense forms.  The rotation applies that source's exp(-iG tau) block.
-    The rotation and the time select are exact, so the report's budget
-    names only the segment series and its amplification.
+    dense forms.  The rotation applies that source's exp(-iG tau) to the
+    state at O(N).  The rotation and the time select are exact, so the
+    report's budget names only the segment series and its amplification.
     """
     check_eps(eps)
-    if not (math.isfinite(t) and t >= 0):
-        raise ParameterError(f"t must be finite and nonnegative, got {t}")
+    check_t(t)
     leaves = LeafBlocks(graph, method, oracle_set)
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     dim = 2 ** graph.n_qubits
@@ -675,9 +651,8 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         nonlocal psi, queries, segments
         seg_be = dyson_segment(leaves, piece_cfg)
         amplified = fixed_point_aa(seg_be, eps_aa)
-        g_block = leaves.exp_g_block(length)
         for _ in range(count):
-            psi = g_block @ amplified.apply_block(psi)
+            psi = leaves.evolution.apply(length, amplified.apply_block(psi))
         # the segment oracle runs L times, each applying K dressed
         # residuals, and each dressed residual applies the time select
         # twice; the length-tau rotation stage runs once per segment

@@ -29,10 +29,15 @@ where the inner O_H^dag O_H and H^m H^m cancel: two O_H queries and no
 other.  S+ is a top-down chain of two-level rotations (see
 ``_split_prep``); Z0(theta) is one phase gate with n - 1 zero-controls.
 ``_preparation`` builds V+- as its factors (S+-, O_H H^m), from which the
-circuit takes its pieces, and ``prepared_state`` runs it on |0^n>: with
-z = e^{i lambda t}, P = v+ v+^dag and Q = v- v-^dag for v+- = V+- |0^n>,
-the block is exactly (I + (conj(z) - 1) P)(I + (z - 1) Q), so two
-columns, one O_H query each, give exp(-iGt) at every t.
+circuit takes its pieces, and ``prepared_state`` runs it on |0^n>.
+
+Multiplied out with v+- = V+- |0^n>, the same two orthogonal projectors
+give exp(-iGt) = I + V diag(e^{-i lambda t} - 1, e^{i lambda t} - 1)
+V^dag with V = [v+, v-], N x 2.  ``RankTwoEvolution`` holds only V and
+lambda: the prepared columns in the circuit tier (one O_H query each) or
+psi+- of ``spectrum_G``, and no columns without hubs.  Its dense blocks
+and its O(N)-per-column ``apply`` serve every solve stage, and
+``classical_expG_apply`` is ``apply`` on psi+-.
 
 The time select sum_d |d><d| (x) exp(-iG t d) over a log2(D)-qubit grid
 register d is the same circuit with each Z0(-+lambda t d) written as
@@ -43,6 +48,7 @@ both, so the rotation has one implementation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -85,22 +91,6 @@ def spectrum_G(graph: HubSparseGraph) -> GSpectrum:
     psi_plus = (u_hub + u_reg) / np.sqrt(2.0)
     psi_minus = (u_hub - u_reg) / np.sqrt(2.0)
     return GSpectrum(lam, -lam, psi_plus, psi_minus)
-
-
-def classical_expG_apply(graph: HubSparseGraph, t: float,
-                         state: np.ndarray) -> np.ndarray:
-    """exp(-iGt) state in O(N) per column: identity plus the two rotated
-    eigenprojectors.  ``state`` is a vector or a matrix of columns."""
-    state = np.asarray(state, dtype=np.complex128)
-    if graph.m_hubs == 0 or t == 0.0:
-        return state.copy()
-    spec = spectrum_G(graph)
-    out = state.copy()
-    for lam, vec in ((spec.lambda_plus, spec.psi_plus),
-                     (spec.lambda_minus, spec.psi_minus)):
-        out += np.multiply.outer((np.exp(-1j * lam * t) - 1.0) * vec,
-                                 vec @ state)
-    return out
 
 
 def _split_prep(k: int) -> Circuit:
@@ -159,6 +149,60 @@ def prepared_state(oracles: OracleSet, sign: int) -> np.ndarray:
     for factor in _preparation(oracles, sign):
         column = factor.apply_to_array(column, factor.width)
     return column[:, 0]
+
+
+@dataclass(frozen=True)
+class RankTwoEvolution:
+    """exp(-iGt) = I + V diag(e^{-i lam t} - 1, e^{i lam t} - 1) V^dag,
+    held as the eigenvector columns V = [v+, v-] of the eigenvalues +-lam
+    (either sign of each column gives the same evolution).  Without hubs V
+    has no columns and every block is the identity.  ``at`` and ``apply``
+    raise ``ParameterError`` for a non-finite t."""
+
+    v: np.ndarray
+    lam: float
+
+    @classmethod
+    def of(cls, graph: HubSparseGraph,
+           oracles: OracleSet | None = None) -> "RankTwoEvolution":
+        """The columns of ``graph``: with ``oracles``, the preparations V+-
+        run once each on |0^n> (one O_H query apiece); without, psi+- of
+        ``spectrum_G``.  No columns and no query without hubs."""
+        if not graph.m_hubs:
+            return cls(np.zeros((graph.n_nodes, 0), dtype=np.complex128), 0.0)
+        if oracles is None:
+            spec = spectrum_G(graph)
+            columns = (spec.psi_plus, spec.psi_minus)
+        else:
+            columns = tuple(prepared_state(oracles, sign) for sign in (+1, -1))
+        return cls(np.stack(columns, axis=1), link_norm(graph))
+
+    def _scaled(self, t: float) -> np.ndarray:
+        """V diag(c(t)): each column times its phase factor minus one."""
+        if not math.isfinite(t):
+            raise ParameterError(f"t must be finite, got {t}")
+        z = cmath.exp(1j * self.lam * t)
+        # no phase without hubs, where V has no columns
+        return self.v * [z.conjugate() - 1.0, z - 1.0][:self.v.shape[1]]
+
+    def at(self, t: float) -> np.ndarray:
+        """The dense N x N block of exp(-iGt)."""
+        eye = np.eye(len(self.v), dtype=np.complex128)
+        return eye + self._scaled(t) @ self.v.conj().T
+
+    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
+        """exp(-iGt) x in O(N) per column; ``x`` is a vector or a matrix of
+        columns."""
+        x = np.asarray(x, dtype=np.complex128)
+        return x + self._scaled(t) @ (self.v.conj().T @ x)
+
+
+def classical_expG_apply(graph: HubSparseGraph, t: float,
+                         state: np.ndarray) -> np.ndarray:
+    """exp(-iGt) state in O(N) per column, from the eigenvectors of the
+    rank-two spectrum.  ``state`` is a vector or a matrix of columns; a
+    non-finite t raises ``ParameterError``."""
+    return RankTwoEvolution.of(graph).apply(t, state)
 
 
 def _rank_two_circuit(oracles: OracleSet, t: float, log_d: int = 0) -> Circuit:

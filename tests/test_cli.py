@@ -112,6 +112,15 @@ def test_non_finite_t_is_refused_before_any_reference(graph_file, t, capsys,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("method", ["dense", "classical-ff", "circuit"])
+def test_simulate_negative_t_exits_2(graph_file, method, capsys, tmp_path):
+    # every method refuses a backward evolution, the dense reference too
+    assert run_cli("simulate", graph_file, "--t", "-1", "--method", method,
+                   "--check", "-o", str(tmp_path / "r.json")) == 2
+    assert "t must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_simulate_t0_state_passthrough(graph_file, tmp_path):
     state_out = tmp_path / "state.json"
     assert run_cli("simulate", graph_file, "--t", "0", "--method", "circuit",

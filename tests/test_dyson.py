@@ -19,7 +19,7 @@ from hubsim.blockenc import EPS_FLOOR, fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
-from hubsim.ffhub import build_expG
+from hubsim.ffhub import build_expG, classical_expG_apply
 from hubsim.oracles import build_oracle_set
 from hubsim.qstate import DenseGate, LazyCircuit, extract_block, spectral_norm
 
@@ -204,7 +204,7 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
     log_d = int(np.log2(big_d))
     # doubling conjugates whole products by one bit evolution, which equals
     # the product of conjugated factors only up to the unitarity defect of
-    # the bit evolutions formed from the triple (rounding in both tiers)
+    # the bit evolutions formed from the columns (rounding in both tiers)
     defect = max(spectral_norm(e.conj().T @ e - np.eye(dim))
                  for e in (dressed.evolution.at(tau * 2 ** j / big_d)
                            for j in range(log_d)))
@@ -226,16 +226,19 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
 
 
 def test_series_totals_reject_noncommuting_bit_blocks(dg8):
-    # the bit evolutions commute when the exp(-iGt) triple does, so the
-    # check reads the triple: dg8's own triple passes, and a triple with
-    # any one member perturbed off the commuting set is refused
-    z = np.random.default_rng(5).normal(size=(8, 8, 2)) @ [1.0, 1j]
+    # the bit evolutions commute, and are unitary, when the exp(-iGt)
+    # columns are orthonormal, so the check reads their Gram matrix: dg8's
+    # own columns pass, and columns with an overlap <v+|v-> of 1e-6 or a
+    # column of norm 1 + 1e-6 are refused
     dressed = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"), 0.5, 8)
     evolution = dressed.evolution
     assert len(dyson._ordered_series_totals(dressed, 2)) == 3
-    for member in ("a", "b", "c"):
+    v_plus, v_minus = evolution.v.T
+    tilted = v_minus + 1e-6 * v_plus
+    tilted /= np.linalg.norm(tilted)
+    for columns in ((v_plus, tilted), ((1.0 + 1e-6) * v_plus, v_minus)):
         dressed.evolution = dataclasses.replace(
-            evolution, **{member: getattr(evolution, member) + 1e-6 * z})
+            evolution, v=np.stack(columns, axis=1))
         with pytest.raises(EncodingError):
             dyson._ordered_series_totals(dressed, 2)
 
@@ -277,6 +280,16 @@ def test_segment_truncation_ratio(dg8):
     for big_k in (1, 2, 3):
         bound = (np.e * 8.0 * tau) / (big_k + 1) * 1.5
         assert errs[big_k + 1] / errs[big_k] <= bound
+
+
+def test_segment_block_at_order_rejects_orders_out_of_range(dg8):
+    cfg = DysonConfig(1.0 / 16.0, 8, 2, 1e-3)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
+                              check_budget=False)
+    assert np.array_equal(dyson.segment_block_at_order(seg, 0), np.eye(8))
+    for big_k in (-1, 3):
+        with pytest.raises(ParameterError):
+            dyson.segment_block_at_order(seg, big_k)
 
 
 def test_segment_grid_halving(dg8):
@@ -589,8 +602,8 @@ def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
 
 def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     # every exp(-iGt) of a solve (bit evolutions, grid points, rotations of
-    # the full pieces and the fractional one) is read off one triple, formed
-    # from the two eigenvector preparations run once each on |0>: no
+    # the full pieces and the fractional one) is read off one evolution,
+    # the two eigenvector preparations run once each on |0>: no
     # build_expG call and two O_H queries, and none of either without hubs.
     # The tallies still count every rank-two circuit the algorithm runs.
     def refuse(*args, **kwargs):
@@ -615,22 +628,20 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
 def test_hub_free_triple_is_the_identity(monkeypatch, method):
-    # lambda = 0: the triple is (I, 0, 0), with no exp(-iGt) built or
-    # applied and no division by lambda, and the solve still reaches the
-    # exact evolution
+    # lambda = 0: the evolution has no columns, with no exp(-iGt) built
+    # or applied and no division by lambda, and the solve still reaches
+    # the exact evolution
     def refuse(*args, **kwargs):
         raise AssertionError("exp(-iGt) built on a hub-free graph")
 
     monkeypatch.setattr(dyson, "build_expG", refuse)
     monkeypatch.setattr(dyson, "classical_expG_apply", refuse)
     g = netgraph.generate(8, 0, 2, 1, 0)
-    leaves = LeafBlocks(g, method)
-    evolution = leaves.evolution
+    evolution = LeafBlocks(g, method).evolution
     assert evolution.lam == 0.0
-    assert np.array_equal(evolution.a, np.eye(8))
-    assert not np.any(evolution.b) and not np.any(evolution.c)
+    assert evolution.v.shape == (8, 0)
     for t in (0.0, 0.3, 100.0):
-        assert np.array_equal(leaves.exp_g_block(t), np.eye(8))
+        assert np.array_equal(evolution.at(t), np.eye(8))
     psi0 = np.full(8, 1.0 / np.sqrt(8.0), dtype=np.complex128)
     psi, _ = dyson.simulate_full(g, 1.0, 1e-2, psi0, method=method)
     ref = refcheck.dense_expm(g.dense_adjacency(), 1.0) @ psi0
@@ -639,7 +650,7 @@ def test_hub_free_triple_is_the_identity(monkeypatch, method):
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
 def test_exp_g_block_at_t0_is_the_identity(dg8, method):
-    block = LeafBlocks(dg8, method).exp_g_block(0.0)
+    block = LeafBlocks(dg8, method).evolution.at(0.0)
     assert np.max(np.abs(block - np.eye(8))) <= 1e-15
 
 
@@ -660,17 +671,37 @@ _TRIPLE_PARAMS = [p for p in random_graph_params() if p[0] <= 32] \
 @example(params=(8, 0, 2, 1), seed=0, t=1.7, method="circuit")
 @example(params=(8, 0, 2, 1), seed=0, t=0.0, method="classical-ff")
 def test_triple_forms_every_exp_g_block(params, seed, t, method):
-    # the block formed from the two-column triple is the block of the
+    # the block formed from the two eigenvector columns is the block of the
     # exp(-iGt) circuit at t, and the exact evolution: M=1 (no Hadamard
-    # layer), M=N/2 (one upper qubit), hub-free and t=0 in both tiers
+    # layer), M=N/2 (one upper qubit), hub-free and t=0 in both tiers;
+    # classical_expG_apply on a batch of unit columns matches it too
     graph = netgraph.generate(*params, rng_seed=seed)
     leaves = LeafBlocks(graph, method)
-    block = leaves.exp_g_block(t)
+    block = leaves.evolution.at(t)
     direct = build_expG(leaves.oracles, t, 1e-12).block()
     dense = refcheck.dense_expm(
         graph.dense_link_matrix().astype(np.complex128), t)
     assert np.max(np.abs(block - direct)) <= 1e-12
     assert np.max(np.abs(block - dense)) <= 1e-12
+    rng = np.random.default_rng(seed)
+    columns = rng.normal(size=(graph.n_nodes, 3, 2)) @ [1.0, 1j]
+    columns /= np.linalg.norm(columns, axis=0)
+    applied = classical_expG_apply(graph, t, columns)
+    assert np.max(np.abs(applied - dense @ columns)) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+@pytest.mark.parametrize("hubs", [2, 0])
+def test_exp_g_rejects_non_finite_t(method, hubs, t):
+    graph = netgraph.generate(8, hubs, 2, 1, rng_seed=0)
+    evolution = LeafBlocks(graph, method).evolution
+    with pytest.raises(ParameterError):
+        evolution.at(t)
+    with pytest.raises(ParameterError):
+        evolution.apply(t, np.eye(8))
+    with pytest.raises(ParameterError):
+        classical_expG_apply(graph, t, np.eye(8))
 
 
 def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
