@@ -13,7 +13,10 @@ constructor therefore carries an efficient ``block`` path that evaluates
 the combination densely without touching the full-width Hilbert space.
 Every register a constructor names is placed even when it is empty (an
 index register of one term, a bank of bare unitaries), so m = 0 needs no
-separate circuit.  The amplified circuit, L applications of the encoding
+separate circuit.  A combination of K terms pads its index register to
+the next power of two with zero amplitude, not with terms.  Its prepare
+gates are completed to unitaries by QR, and only their first columns
+reach any block.  The amplified circuit, L applications of the encoding
 for the odd degree L, is built on first use, never eagerly: the ``block``
 path does not need it, and building it allocates no amplitudes, so its
 gates and queries can be counted at any width.
@@ -83,13 +86,6 @@ class BlockEncoding:
                 f"m={self.m}, n={self.n_sys}, eps={self.eps:.3g})")
 
 
-def identity_encoding(n_sys: int, m: int = 0, label: str = "identity") -> BlockEncoding:
-    circ = Circuit(RegisterLayout(("anc", m), ("sys", n_sys)), label=label)
-    return BlockEncoding(circ, 1.0, m, n_sys,
-                         block_fn=lambda: np.eye(2 ** n_sys, dtype=np.complex128),
-                         label=label)
-
-
 def zero_encoding(n_sys: int, label: str = "zero") -> BlockEncoding:
     """(1, 1)-encoding of the zero matrix: an ancilla flag that always fires."""
     circ = Circuit(RegisterLayout(("flag", 1), ("sys", n_sys)), label=label)
@@ -121,25 +117,13 @@ def verify(be: BlockEncoding, target: np.ndarray) -> float:
 
 
 def unitary_with_first_column(col: np.ndarray) -> np.ndarray:
-    """Deterministic unitary whose first column is the given unit vector."""
+    """Unitary whose first column is the given vector, normalized: the Q
+    of a QR factorization of [col | I], its first column rephased by
+    R[0,0] so that it is col / ||col|| rather than a multiple of it."""
     col = np.asarray(col, dtype=np.complex128)
-    col = col / np.linalg.norm(col)
-    dim = len(col)
-    cols = [col]
-    for k in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[k] = 1.0
-        v = e
-        for c in cols:
-            v = v - c * np.vdot(c, v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-        if len(cols) == dim:
-            break
-    if len(cols) != dim:
-        raise ParameterError("failed to complete unitary")
-    return np.stack(cols, axis=1)
+    q, r = np.linalg.qr(np.column_stack((col, np.eye(len(col)))))
+    q[:, 0] *= r[0, 0] / abs(r[0, 0])
+    return q
 
 
 def lcu(coeffs, bes) -> BlockEncoding:
@@ -159,19 +143,16 @@ def lcu(coeffs, bes) -> BlockEncoding:
     if any(be.n_sys != n for be in bes):
         raise RegisterError("all encodings must share the system width")
 
-    k_terms = len(coeffs)
-    k_padded = 1 << max(0, (k_terms - 1).bit_length())
-    while len(coeffs) < k_padded:
-        coeffs.append(0.0)
-        bes.append(identity_encoding(n))
-    idx_width = int(math.log2(k_padded))
+    idx_width = (len(coeffs) - 1).bit_length()
     bank = max(be.m for be in bes)
 
     weights = np.array([c * be.alpha for c, be in zip(coeffs, bes)])
     lam = float(np.sum(np.abs(weights)))
     if lam <= 0:
         raise ParameterError("all coefficients vanish")
-    col_prep = np.sqrt(weights / lam)
+    # index values past the last term get no amplitude
+    col_prep = np.zeros(2 ** idx_width, dtype=np.complex128)
+    col_prep[:len(weights)] = np.sqrt(weights / lam)
     col_unprep = np.conj(col_prep)
 
     layout = RegisterLayout(("idx", idx_width), ("bank", bank), ("sys", n))
@@ -249,12 +230,21 @@ def _model_scalar(pairs, x: float) -> complex:
 EPS_FLOOR = 1e-13
 
 
+def check_eps_floor(eps: float, requested: float | None = None) -> None:
+    """Raise ``ParameterError`` unless the amplification eps is finite and
+    at least ``EPS_FLOOR``.  When eps is derived from an eps a caller
+    asked for, ``requested`` is that one, and the message names it."""
+    if not (math.isfinite(eps) and eps >= EPS_FLOOR):
+        asked = eps if requested is None else requested
+        raise ParameterError(f"eps={asked}: amplification eps {eps:.3g} is "
+                             f"not finite or below {EPS_FLOOR}")
+
+
 def amplification_degree(alpha: float, eps: float) -> int:
     """Smallest odd L whose band [0.9/alpha, 1] reaches error eps.  Raises
     ``ParameterError`` for alpha <= 0.9 (an empty band) and for an eps that
-    is not finite or lies below ``EPS_FLOOR``."""
-    if not (math.isfinite(eps) and eps >= EPS_FLOOR):
-        raise ParameterError(f"eps={eps} is not finite or below {EPS_FLOOR}")
+    ``check_eps_floor`` refuses."""
+    check_eps_floor(eps)
     if not alpha > 0.9:
         raise ParameterError(f"alpha={alpha:.6g} <= 0.9: empty band")
     delta = 0.9 / alpha

@@ -144,11 +144,10 @@ def cmd_verify_be(args) -> int:
     check("h2", lambda: sparse_enc.encode_H2(oracles), residual)
     if graph.m_hubs:
         g_dense = graph.dense_link_matrix().astype(np.complex128)
-        check("exp_g",
-              lambda: ffhub.build_expG(oracles, args.t, args.eps),
+        check("exp_g", lambda: ffhub.build_expG(oracles, args.t),
               refcheck.dense_expm(g_dense, args.t))
-    doc = {"graph": args.graph, "t": args.t, "eps": args.eps,
-           "encodings": results, "failures": failures}
+    doc = {"graph": args.graph, "t": args.t, "encodings": results,
+           "failures": failures}
     _write_output(dump_json(doc), args.output)
     return EXIT_VERIFY if failures else EXIT_OK
 
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify every block encoding against its target")
     p.add_argument("graph")
     p.add_argument("--t", type=float, default=1.7)
-    p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_verify_be)
 

@@ -61,7 +61,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockenc import BlockEncoding, fixed_point_aa, unitary_with_first_column
+from .blockenc import (BlockEncoding, check_eps_floor, fixed_point_aa,
+                       unitary_with_first_column)
 from .errors import (ConfigurationError, EncodingError, GraphStructureError,
                      ParameterError)
 from .ffhub import RankTwoEvolution, _rank_two_circuit, link_norm
@@ -485,8 +486,7 @@ class _SegmentEncoding(BlockEncoding):
         return segment_block_at_order(self, self.config.big_k) / self.alpha
 
 
-def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
-                  check_budget: bool = True) -> BlockEncoding:
+def dyson_segment(leaves: LeafBlocks, config: DysonConfig) -> BlockEncoding:
     """Block encoding of the rotated-frame segment propagator over [0, tau].
 
     The combination factor is sum_k (alpha2 tau)^k; with tau = 1/(2 alpha2)
@@ -494,7 +494,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
     circuit, built on first use, applies the dressed residual once per time
     slot under its unary order qubit (see the module docstring).  Raises a
     configuration error when the truncation or grid bounds cannot reach the
-    per-segment budget.
+    per-segment budget, so the encoding meets the eps_segment it claims.
     """
     graph = leaves.graph
     alpha1, alpha2 = evolution_scales(graph)
@@ -503,7 +503,7 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig,
     if tau > 1.0 / (2.0 * alpha2) + 1e-12:
         raise ConfigurationError(
             f"tau={tau:.6g} exceeds 1/(2 alpha2)={1.0 / (2 * alpha2):.6g}")
-    if check_budget and big_k >= 1:
+    if big_k >= 1:
         tail = truncation_bound(alpha2, tau, big_k)
         if tail > eps_seg / 2.0:
             raise ConfigurationError(
@@ -616,6 +616,9 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     dense forms.  The rotation applies that source's exp(-iG tau) to the
     state at O(N).  The rotation and the time select are exact, so the
     report's budget names only the segment series and its amplification.
+    An eps whose amplification share (eps_segment / 10) lies below
+    ``blockenc.EPS_FLOOR`` raises ``ParameterError`` before any segment is
+    built.
     """
     check_eps(eps)
     check_t(t)
@@ -643,6 +646,8 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
 
     eps_seg = cfg.eps_segment
     eps_aa = eps_seg / 10.0
+    # refused here, before the series totals of a huge K and D overflow
+    check_eps_floor(eps_aa, eps)
 
     queries: dict[str, int] = {}
     segments = 0

@@ -30,6 +30,8 @@ other.  S+ is a top-down chain of two-level rotations (see
 ``_split_prep``); Z0(theta) is one phase gate with n - 1 zero-controls.
 ``_preparation`` builds V+- as its factors (S+-, O_H H^m), from which the
 circuit takes its pieces, and ``prepared_state`` runs it on |0^n>.
+``build_expG`` wraps the circuit as a unit-factor encoding; being exact,
+it takes no eps and claims eps 0, as every exact stage does.
 
 Multiplied out with v+- = V+- |0^n>, the same two orthogonal projectors
 give exp(-iGt) = I + V diag(e^{-i lambda t} - 1, e^{i lambda t} - 1)
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import EPS_FLOOR, BlockEncoding
+from .blockenc import BlockEncoding
 # unused: perfbench/layertrace.py rebinds both here until it is retargeted
 from .blockenc import fixed_point_aa, lcu  # noqa: F401
 from .errors import ParameterError
@@ -243,17 +245,14 @@ def _rank_two_circuit(oracles: OracleSet, t: float, log_d: int = 0) -> Circuit:
     return circ
 
 
-def build_expG(oracles: OracleSet, t: float, eps: float) -> BlockEncoding:
+def build_expG(oracles: OracleSet, t: float) -> BlockEncoding:
     """Unit-factor, ancilla-free encoding of exp(-iGt): the exact rank-two
-    circuit (module docstring), so it meets ``eps`` up to rounding.  Its
-    gate count does not depend on t, and it makes two O_H queries (none
-    without hubs, where it is the identity).  A non-finite t, or an eps
-    that is not finite or lies below ``blockenc.EPS_FLOOR``, raises
+    circuit (module docstring), so like every exact stage it claims eps 0.
+    Its gate count does not depend on t, and it makes two O_H queries
+    (none without hubs, where it is the identity).  A non-finite t raises
     ``ParameterError``."""
     if not np.isfinite(t):
         raise ParameterError(f"t must be finite, got {t}")
-    if not (math.isfinite(eps) and eps >= EPS_FLOOR):
-        raise ParameterError(f"eps={eps} is not finite or below {EPS_FLOOR}")
     n = oracles.graph.n_qubits
-    return BlockEncoding(_rank_two_circuit(oracles, t), 1.0, 0, n, eps=eps,
+    return BlockEncoding(_rank_two_circuit(oracles, t), 1.0, 0, n,
                          label=f"exp_g(t={t:g})")

@@ -70,68 +70,47 @@ def qubit_cap() -> int:
     return DEFAULT_QUBIT_CAP
 
 
-@dataclass(frozen=True)
-class Register:
-    name: str
-    width: int
-
-
 class RegisterLayout:
-    """Ordered named registers.  A layout allocates nothing, so its width
-    is not capped; ``extract_block`` checks the width it would allocate
-    for.
+    """Ordered named registers, held as a map from each name to its
+    global qubit positions.  A layout allocates nothing, so its width is
+    not capped; ``extract_block`` checks the width it would allocate for.
 
     A register may be empty (width 0): it has no axes, and a control
     ``(name, 0)`` on it always holds, so a builder places its registers
     the same way whatever their widths.  Negative widths raise."""
 
     def __init__(self, *registers: tuple[str, int]):
-        regs = []
-        seen = set()
+        self._axes: dict[str, tuple[int, ...]] = {}
+        pos = 0
         for name, width in registers:
-            if name in seen:
+            if name in self._axes:
                 raise RegisterError(f"duplicate register name {name!r}")
             if width < 0:
                 raise RegisterError(f"register {name!r} needs width >= 0")
-            seen.add(name)
-            regs.append(Register(name, int(width)))
-        self.registers = tuple(regs)
-        self.width = sum(r.width for r in regs)
-        self._offsets = {}
-        pos = 0
-        for r in regs:
-            self._offsets[r.name] = pos
-            pos += r.width
-
-    def reg_width(self, name: str) -> int:
-        for r in self.registers:
-            if r.name == name:
-                return r.width
-        raise RegisterError(f"unknown register {name!r}")
+            self._axes[name] = tuple(range(pos, pos + width))
+            pos += width
+        self.width = pos
 
     def axes(self, name: str) -> tuple[int, ...]:
         """Global qubit positions of a register, most significant first."""
-        off = self.offset(name)
-        return tuple(range(off, off + self.reg_width(name)))
-
-    def offset(self, name: str) -> int:
-        if name not in self._offsets:
+        if name not in self._axes:
             raise RegisterError(f"unknown register {name!r}")
-        return self._offsets[name]
+        return self._axes[name]
 
     def basis_index(self, values: dict[str, int] | None = None) -> int:
         """Flat index of the basis state with each register set to a value."""
         values = values or {}
         idx = 0
-        for r in self.registers:
-            v = int(values.get(r.name, 0))
-            if not (0 <= v < 2 ** r.width):
-                raise RegisterError(f"value {v} too wide for register {r.name!r}")
-            idx = (idx << r.width) | v
+        for name, axes in self._axes.items():
+            v = int(values.get(name, 0))
+            if not (0 <= v < 2 ** len(axes)):
+                raise RegisterError(f"value {v} too wide for register {name!r}")
+            idx = (idx << len(axes)) | v
         return idx
 
     def __repr__(self):
-        body = ", ".join(f"{r.name}:{r.width}" for r in self.registers)
+        body = ", ".join(f"{name}:{len(axes)}"
+                         for name, axes in self._axes.items())
         return f"RegisterLayout({body})"
 
 
@@ -175,10 +154,11 @@ def _expand_controls(layout: RegisterLayout, controls):
     for item in controls:
         key, value = item
         if isinstance(key, str):
-            w = layout.reg_width(key)
+            axes = layout.axes(key)
+            w = len(axes)
             if not (0 <= int(value) < 2 ** w):
                 raise RegisterError(f"control value {value} too wide for {key!r}")
-            for k, ax in enumerate(layout.axes(key)):
+            for k, ax in enumerate(axes):
                 out.append((ax, (int(value) >> (w - 1 - k)) & 1))
         else:
             out.append((int(key), int(value) & 1))

@@ -5,8 +5,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hubsim import blockenc
-from hubsim.blockenc import (BlockEncoding, fixed_point_aa, identity_encoding,
-                             lcu, verify, zero_encoding)
+from hubsim.blockenc import (BlockEncoding, fixed_point_aa, lcu,
+                             unitary_with_first_column, verify, zero_encoding)
 from hubsim.errors import EncodingError, ParameterError, RegisterError
 from hubsim.qstate import (DenseGate, RegisterLayout, extract_block,
                            spectral_norm, x_gate)
@@ -24,9 +24,25 @@ def dilated_encoding(matrix: np.ndarray, alpha: float, seed_label="dilated"):
                          label=seed_label)
 
 
-def test_identity_encoding_verifies():
-    be = identity_encoding(2)
-    assert verify(be, np.eye(4)) == 0.0
+def identity(n: int) -> BlockEncoding:
+    """Bare (1, 0)-encoding of the identity on n qubits."""
+    return BlockEncoding(DenseGate(np.eye(2 ** n)), 1.0, 0, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_unitary_with_first_column(dim):
+    # random complex columns, a column whose first entry is zero, and e0:
+    # the completion is unitary and starts with the normalized column
+    rng = np.random.default_rng(dim)
+    random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    zero_first = np.concatenate(([0.0], random[1:]))
+    columns = [random, 3.0 * random, np.eye(dim)[0]]
+    if dim > 1:  # one entry cannot be zero in a nonzero column
+        columns.append(zero_first)
+    for col in columns:
+        u = unitary_with_first_column(col)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-14
+        assert np.max(np.abs(u[:, 0] - col / np.linalg.norm(col))) <= 1e-15
 
 
 def test_false_claim_raises():
@@ -46,7 +62,7 @@ def test_verify_fails_on_a_non_finite_error():
 
 def test_verify_dimension_mismatch():
     with pytest.raises(ParameterError):
-        verify(identity_encoding(2), np.eye(8))
+        verify(identity(2), np.eye(8))
 
 
 def test_lcu_single_term():
@@ -59,7 +75,7 @@ def test_lcu_single_term():
 
 
 def test_lcu_convex_identity():
-    be1, be2 = identity_encoding(2), identity_encoding(2)
+    be1, be2 = identity(2), identity(2)
     combo = lcu([0.5, 0.5], [be1, be2])
     assert combo.alpha == 1.0
     assert verify(combo, np.eye(4)) < 1e-12
@@ -84,7 +100,7 @@ def test_lcu_signed_combination_dense_check():
 
 
 def test_lcu_pads_to_power_of_two():
-    bes = [identity_encoding(1) for _ in range(3)]
+    bes = [identity(1) for _ in range(3)]
     combo = lcu([1.0, 1.0, 1.0], bes)
     assert combo.m == 2  # ceil(log2 3) index qubits, no bank
     assert combo.alpha == pytest.approx(3.0)
@@ -94,7 +110,7 @@ def test_lcu_pads_to_power_of_two():
 def test_lcu_eps_propagation():
     u = random_unitary(2, seed=2)
     noisy = BlockEncoding(DenseGate(u), 1.0, 0, 1, eps=0.25)
-    combo = lcu([1.0, -2.0], [noisy, identity_encoding(1)])
+    combo = lcu([1.0, -2.0], [noisy, identity(1)])
     assert combo.eps == pytest.approx(3.0 * 0.25)
 
 
@@ -102,9 +118,9 @@ def test_lcu_bad_inputs():
     with pytest.raises(ParameterError):
         lcu([], [])
     with pytest.raises(RegisterError):
-        lcu([1.0, 1.0], [identity_encoding(1), identity_encoding(2)])
+        lcu([1.0, 1.0], [identity(1), identity(2)])
     with pytest.raises(ParameterError):
-        lcu([0.0], [identity_encoding(1)])
+        lcu([0.0], [identity(1)])
 
 
 # (factor ancillas, |coefficient|, coefficient phase, factor alpha)
@@ -126,13 +142,6 @@ def test_lcu_circuit_matches_block_with_empty_registers(n, terms):
     assert combo.unitary.width == combo.m + n
     circ_block = extract_block(combo.unitary, n)
     assert np.max(np.abs(circ_block - combo.block())) < 1e-10
-
-
-@given(n=st.sampled_from([1, 2]), m=st.sampled_from([0, 2]))
-def test_identity_encoding_circuit_matches_block(n, m):
-    be = identity_encoding(n, m)
-    assert (be.unitary.width, be.m) == (m + n, m)
-    assert np.max(np.abs(extract_block(be.unitary, n) - be.block())) < 1e-10
 
 
 @given(n=st.sampled_from([1, 2]), alpha=st.floats(1.0, 3.0),

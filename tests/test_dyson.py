@@ -91,7 +91,7 @@ def test_select_slices_are_the_per_t_evolutions(dg8, log_d):
     sel = dyson.build_selectG(leaves, tau, big_d)
     assert (sel.m, sel.query_profile()) == (0, {"O_H": 2})
     for d in range(big_d):
-        per_t = build_expG(leaves.oracles, tau * d / big_d, 1e-6).block()
+        per_t = build_expG(leaves.oracles, tau * d / big_d).block()
         assert np.max(np.abs(sel.d_block(d) - per_t)) <= 1e-13
 
 
@@ -171,9 +171,8 @@ def test_dressed_register_bookkeeping(dg8):
 
 
 def test_segment_order_zero_is_identity(dg8):
-    cfg = DysonConfig(1.0 / 16.0, 4, 0, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 4, 0, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert spectral_norm(seg.alpha * seg.block() - np.eye(8)) == 0.0
 
 
@@ -197,7 +196,6 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
         graph = netgraph.generate(*graph_key, rng_seed=3)
     _, alpha2 = dyson.evolution_scales(graph)
     tau = 1.0 / (2.0 * alpha2)
-    eps = 1e-3
     dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d)
     b_grid = [dressed.d_block(d) for d in range(big_d)]
     dim = 2 ** graph.n_qubits
@@ -210,8 +208,7 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
                            for j in range(log_d)))
     for big_k in (1, 2, 3):
         seg = dyson.dyson_segment(LeafBlocks(graph, method),
-                                  DysonConfig(tau, big_d, big_k, eps),
-                                  check_budget=False)
+                                  DysonConfig(tau, big_d, big_k, 2.0))
         for k in range(1, big_k + 1):
             brute = np.zeros((dim, dim), dtype=np.complex128)
             for combo in itertools.combinations_with_replacement(
@@ -247,9 +244,8 @@ def test_segment_first_order_hub_free():
     g = netgraph.generate(8, 0, 2, 1, rng_seed=0)
     a = g.dense_adjacency().astype(np.complex128)
     tau = 1.0 / 4.0
-    cfg = DysonConfig(tau, 4, 1, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(g, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(tau, 4, 1, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(g, "classical-ff"), cfg)
     expected = np.eye(8) - 1j * tau * a
     assert spectral_norm(seg.alpha * seg.block() - expected) < 1e-12
 
@@ -258,8 +254,8 @@ def test_segment_dg8_against_reference(dg8):
     # frozen from the independent references: at tau=1/16, D=64, K=4 the
     # grid discretization floor sits at 1.4e-4 (first-order in 1/D)
     tau = 1.0 / 16.0
-    cfg = DysonConfig(tau, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8), cfg, check_budget=False)
+    cfg = DysonConfig(tau, 64, 4, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8), cfg)
     block = seg.alpha * seg.block()
     exact = exact_segment_propagator(dg8, tau)
     err = spectral_norm(block - exact)
@@ -271,9 +267,8 @@ def test_segment_dg8_against_reference(dg8):
 def test_segment_truncation_ratio(dg8):
     tau = 1.0 / 16.0
     exact = exact_segment_propagator(dg8, tau)
-    cfg = DysonConfig(tau, 16384, 4, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(tau, 16384, 4, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     errs = {big_k: spectral_norm(dyson.segment_block_at_order(seg, big_k)
                                  - exact)
             for big_k in (1, 2, 3, 4)}
@@ -283,9 +278,8 @@ def test_segment_truncation_ratio(dg8):
 
 
 def test_segment_block_at_order_rejects_orders_out_of_range(dg8):
-    cfg = DysonConfig(1.0 / 16.0, 8, 2, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 8, 2, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert np.array_equal(dyson.segment_block_at_order(seg, 0), np.eye(8))
     for big_k in (-1, 3):
         with pytest.raises(ParameterError):
@@ -297,18 +291,16 @@ def test_segment_grid_halving(dg8):
     exact = exact_segment_propagator(dg8, tau)
     errs = []
     for big_d in (16, 32, 64, 128):
-        cfg = DysonConfig(tau, big_d, 8, 1e-3)
-        seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                                  check_budget=False)
+        cfg = DysonConfig(tau, big_d, 8, 2.0)
+        seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
         errs.append(spectral_norm(seg.alpha * seg.block() - exact))
     for prev, nxt in zip(errs, errs[1:]):
         assert nxt <= prev / 2.0 * 1.05
 
 
 def test_segment_alpha_and_ancillas(dg8):
-    cfg = DysonConfig(1.0 / 16.0, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 64, 4, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert seg.alpha == pytest.approx(sum(0.5 ** k for k in range(5)))
     log_d = 6
     # unary order index (K qubits), K time registers, two flag banks of
@@ -326,14 +318,13 @@ def test_segment_config_budget_errors(dg8):
                             DysonConfig(1.0 / 16.0, 16, 12, 1e-6))
     with pytest.raises(ConfigurationError, match="tau"):
         dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"),
-                            DysonConfig(0.5, 64, 4, 1e-3), check_budget=False)
+                            DysonConfig(0.5, 64, 4, 1e-3))
 
 
 def test_segment_tiers_agree(dg8):
-    cfg = DysonConfig(1.0 / 16.0, 32, 3, 1e-3)
-    seg_c = dyson.dyson_segment(LeafBlocks(dg8), cfg, check_budget=False)
-    seg_d = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                                check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 32, 3, 2.0)
+    seg_c = dyson.dyson_segment(LeafBlocks(dg8), cfg)
+    seg_d = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert spectral_norm(seg_c.block() - seg_d.block()) < 1e-6
 
 
@@ -341,9 +332,8 @@ def test_segment_unitary_is_resource_guarded(dg8):
     # running the segment would allocate 2^width amplitudes per column:
     # extraction refuses it before the circuit is built or anything is
     # allocated
-    cfg = DysonConfig(1.0 / 16.0, 64, 4, 1e-3)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 64, 4, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert seg.unitary.width == seg.m + 3
     refuse = AssertionError("built past the qubit cap")
     with mock.patch.object(LazyCircuit, "materialize", side_effect=refuse):
@@ -361,9 +351,8 @@ def test_segment_unitary_is_resource_guarded(dg8):
 def test_segment_circuit_constructs(dg8):
     # the assembled circuit is never runnable at default widths, but its
     # structural construction must be sound
-    cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 2, 2, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     circ = seg.unitary.materialize()
     assert circ.width == seg.m + 3
     assert len(circ.steps) > 4
@@ -423,9 +412,8 @@ def test_segment_applies_each_slot_once(dg8, big_k):
     # order k sets the first k qubits of the unary order index, so slot j
     # runs its Hadamard pair, its dressed residual and its order test once
     # each, under the single control kidx[j-1] = 1
-    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     circ = seg.unitary.materialize()
     kidx = circ.layout.axes("kidx")
     assert len(kidx) == big_k
@@ -441,9 +429,8 @@ def test_segment_applies_each_slot_once(dg8, big_k):
 
 def test_segment_index_maps_are_involutions(dg8):
     # FunctionalPermutation is its own adjoint only for an involution
-    cfg = DysonConfig(1.0 / 16.0, 2, 2, 1e-1)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 2, 2, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     maps = {s.op.label: s.op for s in seg.unitary.materialize().steps
             if s.op.label in ("bank_flag", "order_test")}
     assert maps["bank_flag"].width == 9 + 1  # residual bank and one flag
@@ -455,17 +442,15 @@ def test_segment_index_maps_are_involutions(dg8):
 
 @pytest.mark.parametrize("big_k", [0, 1, 3])
 def test_segment_width_matches_materialized_circuit(dg8, big_k):
-    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 1e-1)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert seg.unitary.materialize().width == seg.m + 3
 
 
 def test_segment_counts_follow_composition(dg8):
     # D=4, K=2 is small enough to walk the flattened primitive stream
-    cfg = DysonConfig(1.0 / 16.0, 4, 2, 1e-1)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(1.0 / 16.0, 4, 2, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     amp = fixed_point_aa(seg, 0.5)
     # 2 dressed residuals of 85 gates (two 22-gate selects around the
     # 41-gate residual), 4 Hadamard layers, an order test, a bank flag,
@@ -500,9 +485,8 @@ def test_amplified_segment_counts_without_allocating(dg8):
 
 def test_segment_amplification(dg8):
     tau = 1.0 / 16.0
-    cfg = DysonConfig(tau, 256, 6, 1e-4)
-    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg,
-                              check_budget=False)
+    cfg = DysonConfig(tau, 256, 6, 2.0)
+    seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     amp = fixed_point_aa(seg, 1e-6)
     exact = exact_segment_propagator(dg8, tau)
     assert spectral_norm(amp.block() - exact) < 5e-5
@@ -577,6 +561,24 @@ def test_simulate_input_validation(dg8):
             dyson.simulate_full(dg8, t, 1e-2, nan_state, method=method)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+@pytest.mark.parametrize("eps", [1e-11, 1e-16])
+def test_simulate_refuses_eps_below_the_floor_before_building(
+        dg8, monkeypatch, method, eps):
+    # at t=1 the amplification gets eps/16/10, below EPS_FLOOR for both;
+    # at 1e-16 the series totals (K=21, D=2^58) would overflow first
+    def refuse(*args, **kwargs):
+        raise AssertionError("segment built for an unreachable eps")
+
+    monkeypatch.setattr(dyson, "dyson_segment", refuse)
+    psi0 = np.zeros(8, dtype=np.complex128)
+    psi0[0] = 1.0
+    assert default_config(dg8, 1.0, eps).eps_segment / 10.0 < EPS_FLOOR
+    with pytest.raises(ParameterError, match=f"eps={eps}:"):
+        dyson.simulate_full(dg8, 1.0, eps, psi0, method=method)
+
+
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
 @pytest.mark.parametrize("fraction", [1.0 / 3.0, 1.0, 2.5])
 def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
@@ -586,9 +588,9 @@ def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
     configs = []
     original = dyson.dyson_segment
 
-    def recording(leaves, config, *args, **kwargs):
+    def recording(leaves, config):
         configs.append(config)
-        return original(leaves, config, *args, **kwargs)
+        return original(leaves, config)
 
     monkeypatch.setattr(dyson, "dyson_segment", recording)
     psi0 = np.zeros(8, dtype=np.complex128)
@@ -678,7 +680,7 @@ def test_triple_forms_every_exp_g_block(params, seed, t, method):
     graph = netgraph.generate(*params, rng_seed=seed)
     leaves = LeafBlocks(graph, method)
     block = leaves.evolution.at(t)
-    direct = build_expG(leaves.oracles, t, 1e-12).block()
+    direct = build_expG(leaves.oracles, t).block()
     dense = refcheck.dense_expm(
         graph.dense_link_matrix().astype(np.complex128), t)
     assert np.max(np.abs(block - direct)) <= 1e-12
@@ -885,7 +887,7 @@ def _built_queries(graph, t, eps, method, monkeypatch):
     oracles = LeafBlocks(graph, method).oracles
     total = Counter()
     for (seg, amp), count in zip(amplified, counts):
-        rotation = build_expG(oracles, seg.config.tau, EPS_FLOOR)
+        rotation = build_expG(oracles, seg.config.tau)
         for profile in (amp.query_profile(), rotation.query_profile()):
             total.update({key: count * val for key, val in profile.items()})
     return report, dict(total)
@@ -930,7 +932,7 @@ def test_structural_profile_matches_enumeration(dg8):
     from hubsim.dyson import _structural_oracle_profile
     for graph in (dg8, netgraph.generate(8, 0, 2, 1, 0)):
         leaves = LeafBlocks(graph)
-        parts = (build_expG(leaves.oracles, 0.25, 1e-4),
+        parts = (build_expG(leaves.oracles, 0.25),
                  dyson.build_selectG(leaves, 0.25, 8),
                  leaves.h2_encoding())
         combined = Counter()

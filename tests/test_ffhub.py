@@ -80,32 +80,32 @@ def test_split_prep_is_uniform_over_nonzero_values(k):
 
 
 def test_expg_t0_is_identity(dg8_oracles):
-    be = ffhub.build_expG(dg8_oracles, 0.0, 1e-6)
+    be = ffhub.build_expG(dg8_oracles, 0.0)
     assert np.max(np.abs(np.eye(8) - be.block())) <= 1e-14
 
 
 def test_expg_prefactor_dg8(dg8_oracles):
     # an exact circuit: unit factor and no ancilla at every t
     for t in (0.0, 0.3, 100.0):
-        be = ffhub.build_expG(dg8_oracles, t, 1e-6)
-        assert (be.alpha, be.m, be.eps) == (1.0, 0, 1e-6)
+        be = ffhub.build_expG(dg8_oracles, t)
+        assert (be.alpha, be.m, be.eps) == (1.0, 0, 0.0)
 
 
 def test_expg_dg8_vs_dense(dg8, dg8_dense, dg8_oracles):
-    be = ffhub.build_expG(dg8_oracles, 1.7, 1e-6)
+    be = ffhub.build_expG(dg8_oracles, 1.7)
     target = refcheck.dense_expm(dg8_dense["G"], 1.7)
     assert spectral_norm(target - be.block()) <= 1e-12
 
 
 def test_expg_gate_count_independent_of_t(dg8_oracles):
-    counts = {ffhub.build_expG(dg8_oracles, t, 1e-6).gate_count()
+    counts = {ffhub.build_expG(dg8_oracles, t).gate_count()
               for t in (1.0, 1000.0)}
     assert len(counts) == 1
 
 
 def test_expg_hub_free_identity():
     g = netgraph.generate(8, 0, 2, 1, rng_seed=0)
-    be = ffhub.build_expG(build_oracle_set(g), 5.0, 1e-8)
+    be = ffhub.build_expG(build_oracle_set(g), 5.0)
     assert be.m == 0
     assert be.gate_count() == 0 and be.query_profile() == {}
     assert np.array_equal(be.block(), np.eye(8))
@@ -114,10 +114,10 @@ def test_expg_hub_free_identity():
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
 def test_expg_rejects_non_finite_t(dg8_oracles, t):
     with pytest.raises(ParameterError, match="finite"):
-        ffhub.build_expG(dg8_oracles, t, 1e-6)
+        ffhub.build_expG(dg8_oracles, t)
     hub_free = build_oracle_set(netgraph.generate(8, 0, 2, 1, rng_seed=0))
     with pytest.raises(ParameterError, match="finite"):
-        ffhub.build_expG(hub_free, t, 1e-6)
+        ffhub.build_expG(hub_free, t)
 
 
 def test_marked_projector_circuit_action(dg8, dg8_dense, dg8_oracles):
@@ -172,7 +172,7 @@ def test_expg_query_profile_formula(dg8):
     # fresh oracle set moves its counter by exactly that
     for t in (0.25, 100.0):
         oracles = build_oracle_set(dg8)
-        be = ffhub.build_expG(oracles, t, 1e-6)
+        be = ffhub.build_expG(oracles, t)
         assert be.query_profile() == {"O_H": 2}
         be.block()
         assert {k: v for k, v in oracles.counter.snapshot().items() if v} \
@@ -189,6 +189,6 @@ _EXACT_PARAMS = [p for p in random_graph_params() if p[0] <= 32 and p[1] > 0]
 @example(params=(16, 1, 4, 1), seed=5, t=0.0)
 def test_expg_block_is_exact(params, seed, t):
     graph = netgraph.generate(*params, rng_seed=seed)
-    be = ffhub.build_expG(build_oracle_set(graph), t, 1e-12)
+    be = ffhub.build_expG(build_oracle_set(graph), t)
     target = refcheck.dense_expm(graph.dense_link_matrix().astype(complex), t)
     assert np.max(np.abs(be.block() - target)) <= 1e-12
