@@ -2,7 +2,9 @@
 evolutions, dressed time-indexed residual encodings, truncated
 ordered-series segments, and the end-to-end pipeline.
 
-The full evolution is sliced into segments of length tau.  Per segment, the
+The full evolution is sliced into n = ceil(2 alpha2 t) equal segments of
+length tau = t/n <= 1/(2 alpha2), each with an equal share eps/n of the
+budget, so one segment encoding serves the whole solve.  Per segment, the
 frame rotated by the link evolution exp(-iGs) turns the adjacency generator
 into the bounded, time-dependent residual  Hr(s) = e^{iGs} (A - G) e^{-iGs},
 whose time-ordered propagator is expanded as a truncated ordered series over
@@ -132,20 +134,26 @@ def check_t(t: float) -> None:
         raise ParameterError(f"t must be finite and nonnegative, got {t}")
 
 
+def _slice_count(alpha2: float, t: float) -> int:
+    """Number n of equal slices of [0, t]: the fewest, and at least one,
+    of length at most 1/(2 alpha2).  A t within 1e-12 of a multiple of
+    1/(2 alpha2) gets no extra slice for its rounding."""
+    return max(1, math.ceil(2.0 * alpha2 * t - 1e-12))
+
+
 def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
-    """Segment schedule for evolving time t within eps: tau = min(t,
-    1/(2 alpha2)) with budget eps_segment = eps tau / t (eps when one
-    segment covers t); K the smallest order whose tail bound clears half
-    that budget; D the grid bound 2 (alpha1 + alpha2) tau / eps_segment,
-    rounded up to a power of two.  t and eps must be finite and
-    positive."""
+    """Segment schedule for evolving time t within eps: n = ``_slice_count``
+    equal slices of tau = t/n, each with budget eps_segment = eps/n; K the
+    smallest order whose tail bound clears half that budget; D the grid
+    bound 2 (alpha1 + alpha2) tau / eps_segment, rounded up to a power of
+    two.  t and eps must be finite and positive."""
     if not (math.isfinite(t) and t > 0):
         raise ParameterError(f"no segment to schedule for t={t}")
     check_eps(eps)
     alpha1, alpha2 = evolution_scales(graph)
-    tau = min(t, 1.0 / (2.0 * alpha2))
-    # eps itself when one segment covers t: eps * t / t can round
-    eps_seg = eps * tau / t if t > tau else eps
+    n_slices = _slice_count(alpha2, t)
+    tau = t / n_slices
+    eps_seg = eps / n_slices
     big_k = 1
     while truncation_bound(alpha2, tau, big_k) > eps_seg / 2.0 and big_k < 60:
         big_k += 1
@@ -494,7 +502,8 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig) -> BlockEncoding:
     circuit, built on first use, applies the dressed residual once per time
     slot under its unary order qubit (see the module docstring).  Raises a
     configuration error when the truncation or grid bounds cannot reach the
-    per-segment budget, so the encoding meets the eps_segment it claims.
+    per-segment budget, at every K (K=0 claims the identity), so the
+    encoding meets the eps_segment it claims.
     """
     graph = leaves.graph
     alpha1, alpha2 = evolution_scales(graph)
@@ -503,17 +512,16 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig) -> BlockEncoding:
     if tau > 1.0 / (2.0 * alpha2) + 1e-12:
         raise ConfigurationError(
             f"tau={tau:.6g} exceeds 1/(2 alpha2)={1.0 / (2 * alpha2):.6g}")
-    if big_k >= 1:
-        tail = truncation_bound(alpha2, tau, big_k)
-        if tail > eps_seg / 2.0:
-            raise ConfigurationError(
-                f"truncation order K={big_k} leaves tail bound {tail:.3e} "
-                f"> eps_segment/2 = {eps_seg / 2.0:.3e}")
-        d_needed = 2.0 * (alpha1 + alpha2) * tau / eps_seg
-        if big_d < d_needed:
-            raise ConfigurationError(
-                f"grid size D={big_d} below the bound "
-                f"2(alpha1+alpha2)tau/eps_segment = {d_needed:.3e}")
+    tail = truncation_bound(alpha2, tau, big_k)
+    if tail > eps_seg / 2.0:
+        raise ConfigurationError(
+            f"truncation order K={big_k} leaves tail bound {tail:.3e} "
+            f"> eps_segment/2 = {eps_seg / 2.0:.3e}")
+    d_needed = 2.0 * (alpha1 + alpha2) * tau / eps_seg
+    if big_d < d_needed:
+        raise ConfigurationError(
+            f"grid size D={big_d} below the bound "
+            f"2(alpha1+alpha2)tau/eps_segment = {d_needed:.3e}")
 
     n = graph.n_qubits
     log_d = int(math.log2(big_d))
@@ -550,26 +558,15 @@ def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
 # -- end-to-end pipeline -------------------------------------------------------
 
 
-def _merge_profiles(*scaled):
-    out: dict[str, int] = {}
-    for profile, factor in scaled:
-        for key, val in profile.items():
-            out[key] = out.get(key, 0) + val * factor
-    return out
-
-
 def _structural_oracle_profile(graph, n_rank_two, n_h2):
     """Oracle tallies from the circuit structure: each rank-two circuit
     (a rotation or a time select) queries O_H twice, and not at all
     without hubs; each residual application touches every oracle O(1)
     times."""
     if graph.m_hubs:
-        per_rank_two = {"O_H": 2}
-        per_h2 = {"O_A": 6, "O_K": 10, "O_H": 2, "O_L": 2, "O_Z": 2}
-    else:
-        per_rank_two = {}
-        per_h2 = {"O_A": 2, "O_K": 4, "O_L": 2}
-    return _merge_profiles((per_rank_two, n_rank_two), (per_h2, n_h2))
+        return {"O_H": 2 * n_rank_two + 2 * n_h2, "O_A": 6 * n_h2,
+                "O_K": 10 * n_h2, "O_L": 2 * n_h2, "O_Z": 2 * n_h2}
+    return {"O_A": 2 * n_h2, "O_K": 4 * n_h2, "O_L": 2 * n_h2}
 
 
 @dataclass
@@ -586,10 +583,9 @@ class RunReport:
     queries: dict
     budget: dict
     norm_deficit: float
-    final_error_vs_reference: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "t": self.t, "eps": self.eps, "method": self.method,
             "segments": self.segments, "K": self.big_k, "D": self.big_d,
             "tau": self.tau, "alpha1": self.alpha1, "alpha2": self.alpha2,
@@ -597,9 +593,6 @@ class RunReport:
             "budget": self.budget,
             "norm_deficit": self.norm_deficit,
         }
-        if self.final_error_vs_reference is not None:
-            out["final_error_vs_reference"] = self.final_error_vs_reference
-        return out
 
 
 def simulate_full(graph: HubSparseGraph, t: float, eps: float,
@@ -608,9 +601,9 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
                   ) -> tuple[np.ndarray, RunReport]:
     """Evolve psi0 under the adjacency generator for time t within eps.
 
-    Slices [0, t] into segments of length tau, applies the amplified
-    segment propagator followed by the link-matrix rotation per segment,
-    and a reduced-length final segment for the remainder.  ``method``
+    Slices [0, t] into the n equal segments of ``default_config``, builds
+    and amplifies that one segment propagator, then applies it n times,
+    each time followed by the link-matrix rotation over tau.  ``method``
     selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
     every leaf from its circuit, "classical-ff" substitutes the verified
     dense forms.  The rotation applies that source's exp(-iG tau) to the
@@ -638,43 +631,24 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         return psi, report
 
     cfg = default_config(graph, t, eps)
-    tau = cfg.tau
-    n_full = int(math.floor(t / tau + 1e-12))
-    t_frac = t - n_full * tau
-    if t_frac < 1e-12 * max(1.0, t):
-        t_frac = 0.0
-
-    eps_seg = cfg.eps_segment
-    eps_aa = eps_seg / 10.0
+    n_slices = _slice_count(alpha2, t)
+    eps_aa = cfg.eps_segment / 10.0
     # refused here, before the series totals of a huge K and D overflow
     check_eps_floor(eps_aa, eps)
 
-    queries: dict[str, int] = {}
-    segments = 0
-
-    def run_piece(length: float, piece_cfg: DysonConfig, count: int):
-        nonlocal psi, queries, segments
-        seg_be = dyson_segment(leaves, piece_cfg)
-        amplified = fixed_point_aa(seg_be, eps_aa)
-        for _ in range(count):
-            psi = leaves.evolution.apply(length, amplified.apply_block(psi))
-        # the segment oracle runs L times, each applying K dressed
-        # residuals, and each dressed residual applies the time select
-        # twice; the length-tau rotation stage runs once per segment
-        n_h2 = amplified.aa_degree * piece_cfg.big_k * count
-        segments += count
-        queries = _merge_profiles(
-            (queries, 1),
-            (_structural_oracle_profile(graph, 2 * n_h2 + count, n_h2), 1))
-
-    run_piece(tau, cfg, n_full)
-    if t_frac > 0.0:
-        run_piece(t_frac, default_config(graph, t_frac, eps_seg), 1)
+    amplified = fixed_point_aa(dyson_segment(leaves, cfg), eps_aa)
+    for _ in range(n_slices):
+        psi = leaves.evolution.apply(cfg.tau, amplified.apply_block(psi))
+    # the segment oracle runs L times, each applying K dressed residuals,
+    # and each dressed residual applies the time select twice; the
+    # rotation stage runs once per segment
+    n_h2 = amplified.aa_degree * cfg.big_k * n_slices
+    queries = _structural_oracle_profile(graph, 2 * n_h2 + n_slices, n_h2)
 
     norm_deficit = float(1.0 - np.linalg.norm(psi))
     report = RunReport(
-        t, eps, method, segments, cfg.big_k, cfg.big_d, tau, alpha1, alpha2,
-        queries,
-        {"segment_series": eps_seg, "segment_amplification": eps_aa},
+        t, eps, method, n_slices, cfg.big_k, cfg.big_d, cfg.tau, alpha1,
+        alpha2, queries,
+        {"segment_series": cfg.eps_segment, "segment_amplification": eps_aa},
         norm_deficit)
     return psi, report

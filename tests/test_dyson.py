@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import importlib
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import hubsim
 from hubsim import dyson, netgraph, refcheck
-from hubsim.blockenc import EPS_FLOOR, fixed_point_aa
+from hubsim.blockenc import EPS_FLOOR, BlockEncoding, fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
@@ -171,7 +173,7 @@ def test_dressed_register_bookkeeping(dg8):
 
 
 def test_segment_order_zero_is_identity(dg8):
-    cfg = DysonConfig(1.0 / 16.0, 4, 0, 2.0)
+    cfg = DysonConfig(1.0 / 16.0, 4, 0, 3.0)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert spectral_norm(seg.alpha * seg.block() - np.eye(8)) == 0.0
 
@@ -321,6 +323,14 @@ def test_segment_config_budget_errors(dg8):
                             DysonConfig(0.5, 64, 4, 1e-3))
 
 
+def test_segment_order_zero_checks_its_bounds(dg8):
+    # the identity block is 0.088 from the exact dg8 segment propagator,
+    # so K=0 meets only an eps_segment of at least 2 e alpha2 tau = 2.72
+    with pytest.raises(ConfigurationError, match="truncation"):
+        dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"),
+                            DysonConfig(1.0 / 16.0, 4, 0, 1e-3))
+
+
 def test_segment_tiers_agree(dg8):
     cfg = DysonConfig(1.0 / 16.0, 32, 3, 2.0)
     seg_c = dyson.dyson_segment(LeafBlocks(dg8), cfg)
@@ -442,7 +452,7 @@ def test_segment_index_maps_are_involutions(dg8):
 
 @pytest.mark.parametrize("big_k", [0, 1, 3])
 def test_segment_width_matches_materialized_circuit(dg8, big_k):
-    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 2.0)
+    cfg = DysonConfig(1.0 / 16.0, 4, big_k, 3.0)
     seg = dyson.dyson_segment(LeafBlocks(dg8, "classical-ff"), cfg)
     assert seg.unitary.materialize().width == seg.m + 3
 
@@ -521,7 +531,7 @@ def test_simulate_fractional_time(dg8, dg8_dense):
                                       method="classical-ff")
     ref = refcheck.dense_expm(dg8_dense["A"], 0.7) @ psi0
     assert refcheck.distance(out, ref) <= 1e-3
-    assert report.segments == 12  # 11 full slices plus the remainder
+    assert report.segments == 12  # ceil(2 alpha2 t) = ceil(11.2) slices
 
 
 def test_simulate_hub_free():
@@ -580,31 +590,84 @@ def test_simulate_refuses_eps_below_the_floor_before_building(
 
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
-@pytest.mark.parametrize("fraction", [1.0 / 3.0, 1.0, 2.5])
-def test_report_describes_the_first_segment_built(dg8, monkeypatch, method,
-                                                  fraction):
-    # K, D and tau in the report are those of the first segment the solve
-    # assembled, also when t is shorter than one scheduled segment
-    configs = []
-    original = dyson.dyson_segment
+@pytest.mark.parametrize("t", [0.0626, 0.7, 1.3, 1.0, 0.01])
+def test_solve_builds_one_segment_within_its_budget(dg8, dg8_dense,
+                                                    monkeypatch, method, t):
+    # [0, t] is cut into n equal slices, off the 1/(2 alpha2) grid, on it
+    # and below one slice: the solve builds and amplifies one segment,
+    # applies it n times, and the series shares it applies sum to at most
+    # eps; K, D and tau in the report are that segment's
+    eps = 1e-2
+    configs, amplified, applied = [], [], Counter()
+    segment, amplify = dyson.dyson_segment, dyson.fixed_point_aa
+    apply_block = BlockEncoding.apply_block
 
-    def recording(leaves, config):
+    def recording_segment(leaves, config):
         configs.append(config)
-        return original(leaves, config)
+        return segment(leaves, config)
 
-    monkeypatch.setattr(dyson, "dyson_segment", recording)
-    psi0 = np.zeros(8, dtype=np.complex128)
-    psi0[0] = 1.0
-    t = fraction / 16.0
-    _, report = dyson.simulate_full(dg8, t, 1e-2, psi0, method=method)
-    first = configs[0]
+    def recording_amplify(be, eps_aa):
+        amplified.append((be, amplify(be, eps_aa)))
+        return amplified[-1][1]
+
+    def counting_apply(be, vec):
+        applied[id(be)] += 1
+        return apply_block(be, vec)
+
+    monkeypatch.setattr(dyson, "dyson_segment", recording_segment)
+    monkeypatch.setattr(dyson, "fixed_point_aa", recording_amplify)
+    monkeypatch.setattr(BlockEncoding, "apply_block", counting_apply)
+    psi0 = np.full(8, 1.0 / np.sqrt(8.0), dtype=np.complex128)
+    psi, report = dyson.simulate_full(dg8, t, eps, psi0, method=method)
+    shares = sum(applied[id(amp)] * seg.config.eps_segment
+                 for seg, amp in amplified)
+    assert shares <= eps * (1.0 + 1e-12)
+    assert len(configs) == len(amplified) == 1
+    assert applied[id(amplified[0][1])] == report.segments
+    cfg = configs[0]
     assert (report.big_k, report.big_d, report.tau) == \
-        (first.big_k, first.big_d, first.tau)
+        (cfg.big_k, cfg.big_d, cfg.tau)
+    ref = refcheck.dense_expm(dg8_dense["A"], t) @ psi0
+    assert refcheck.distance(psi, ref) <= eps
+
+
+@functools.cache
+def _schedule_graph(params):
+    return netgraph.generate(*params, rng_seed=0)
+
+
+@settings(max_examples=60)
+@given(params=st.sampled_from(random_graph_params()),
+       t=st.floats(1e-6, 50.0), eps=st.floats(1e-6, 0.5))
+# alpha2 = 5 for (8, 1, 2, 2): 0.3 is 3/(2 alpha2) up to rounding
+@example(params=(8, 1, 2, 2), t=0.3, eps=1e-2)
+@example(params=(8, 1, 2, 2), t=math.nextafter(0.3, 1.0), eps=1e-2)
+@example(params=(8, 1, 2, 2), t=math.nextafter(0.3, 0.0), eps=1e-2)
+@example(params=(8, 1, 2, 2), t=0.3 * (1.0 + 1e-9), eps=1e-2)
+@example(params=(8, 1, 2, 2), t=0.3 * (1.0 - 1e-9), eps=1e-2)
+@example(params=(16, 2, 4, 2), t=1.0, eps=1e-2)
+@example(params=(8, 0, 2, 1), t=0.2, eps=1e-3)
+@example(params=(64, 4, 8, 4), t=0.01, eps=0.5)
+def test_default_config_cuts_t_into_equal_slices(params, t, eps):
+    # n slices of tau = t/n cover t, none longer than 1/(2 alpha2) and
+    # none to spare, and their budgets sum to eps: hub-free, M=1 and t on,
+    # just off and below the slice grid
+    graph = _schedule_graph(params)
+    _, alpha2 = dyson.evolution_scales(graph)
+    cfg = default_config(graph, t, eps)
+    n = round(t / cfg.tau)
+    assert n >= 1
+    assert abs(n * cfg.tau - t) <= 1e-12 * t
+    assert cfg.tau <= 1.0 / (2.0 * alpha2) + 1e-12
+    assert n * cfg.eps_segment <= eps * (1.0 + 1e-12)
+    assert n - 1 < 2.0 * alpha2 * t  # one fewer slice would be too long
+    if t < 1.0 / (2.0 * alpha2):
+        assert (n, cfg.tau, cfg.eps_segment) == (1, t, eps)
 
 
 def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
-    # every exp(-iGt) of a solve (bit evolutions, grid points, rotations of
-    # the full pieces and the fractional one) is read off one evolution,
+    # every exp(-iGt) of a solve (bit evolutions, grid points and the
+    # rotations of all 21 slices of t=1.3) is read off one evolution,
     # the two eigenvector preparations run once each on |0>: no
     # build_expG call and two O_H queries, and none of either without hubs.
     # The tallies still count every rank-two circuit the algorithm runs.
@@ -620,8 +683,8 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     psi0 = np.zeros(8, dtype=np.complex128)
     psi0[0] = 1.0
     _, report = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method="circuit")
-    assert report.queries == {"O_H": 22920, "O_A": 22878, "O_K": 38130,
-                              "O_L": 7626, "O_Z": 7626}
+    assert report.queries == {"O_H": 23226, "O_A": 23184, "O_K": 38640,
+                              "O_L": 7728, "O_Z": 7728}
     hub_free = build_oracle_set(netgraph.generate(8, 0, 2, 1, 0))
     LeafBlocks(hub_free.graph, "circuit", hub_free).evolution
     assert not any(hub_free.counter.snapshot().values())
@@ -707,8 +770,8 @@ def test_exp_g_rejects_non_finite_t(method, hubs, t):
 
 
 def test_simulate_builds_leaf_encodings_once_per_solve(dg8, monkeypatch):
-    # t=1.3 runs a full piece and a fractional one; both draw on the one
-    # leaf source of the solve, so the residual is built once
+    # every slice of t=1.3 draws on the one leaf source of the solve, so
+    # the residual is built once
     counts = {"encode_H2": 0}
 
     def counting(module, name):
@@ -867,9 +930,9 @@ def test_simulate_report_contents(dg8):
 
 
 def _built_queries(graph, t, eps, method, monkeypatch):
-    """(report, queries of the circuits the solve built): per piece, its
-    segment count times the profile of the amplified segment plus the
-    rotation encoding of the piece's length."""
+    """(report, queries of the circuits the solve built): the segment
+    count times the profile of the amplified segment plus the rotation
+    encoding of the segment's length."""
     amplified = []
     amplify = dyson.fixed_point_aa
 
@@ -881,15 +944,12 @@ def _built_queries(graph, t, eps, method, monkeypatch):
     psi0 = np.zeros(2 ** graph.n_qubits, dtype=np.complex128)
     psi0[0] = 1.0
     _, report = dyson.simulate_full(graph, t, eps, psi0, method=method)
-    # the full pieces come first, and a fractional piece runs once
-    fractional = len(amplified) - 1
-    counts = [report.segments - fractional] + [1] * fractional
-    oracles = LeafBlocks(graph, method).oracles
+    [(seg, amp)] = amplified
+    rotation = build_expG(LeafBlocks(graph, method).oracles, seg.config.tau)
     total = Counter()
-    for (seg, amp), count in zip(amplified, counts):
-        rotation = build_expG(oracles, seg.config.tau)
-        for profile in (amp.query_profile(), rotation.query_profile()):
-            total.update({key: count * val for key, val in profile.items()})
+    for profile in (amp.query_profile(), rotation.query_profile()):
+        total.update({key: report.segments * val
+                      for key, val in profile.items()})
     return report, dict(total)
 
 

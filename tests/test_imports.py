@@ -1,7 +1,11 @@
 """Every name a ``hubsim`` module imports is used in that module, unless
 its import line carries ``# noqa: F401``.  That escape hatch is kept for
 names ``perfbench/layertrace.py`` rebinds in the importing module, and for
-no other.  ``__init__.py`` re-exports by design and is skipped."""
+no other.  ``__init__.py`` re-exports by design and is skipped.
+
+Every module-level ``_private`` function, class or constant of ``hubsim``
+is referred to somewhere in the package outside its own definition: code
+the package never calls is deleted, not kept for tests."""
 
 import ast
 import importlib
@@ -65,3 +69,51 @@ def test_kept_imports_are_rebound_by_the_layer_tracer(monkeypatch):
             for name, _, noqa in imported_names(path.read_text(
                 encoding="utf-8")) if noqa}
     assert kept and kept <= rebound, kept - rebound
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of every module-level ``_private`` function, class
+    or constant in ``sources`` (module name -> source) that no code there
+    refers to outside its own definition.  Imports are not references."""
+    defined, references = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, name, node.lineno, node.end_lineno)
+                        for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((module, node.attr, node.lineno))
+    return [f"{module}.{name}" for module, name, first, last in defined
+            if not any(ref == name and not (where == module
+                                            and first <= line <= last)
+                       for where, ref, line in references)]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert unreferenced_privates(sources) == []
+
+
+def test_unreferenced_private_is_found():
+    sources = {
+        "a": ("def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+              "class _Called:\n    pass\n\n\n_LIMIT = 3\n"
+              "_USED: int = 4\n__all__ = []\n"),
+        "b": "from a import _LIMIT, _Called\nimport a\n"
+             "print(_Called(), a._USED)\n",
+    }
+    assert unreferenced_privates(sources) == ["a._recursive", "a._LIMIT"]
