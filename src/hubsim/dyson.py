@@ -18,12 +18,25 @@ and the original-frame step is exp(-iG tau) applied after the segment.
 The grid evolutions E(d) = exp(-iG d tau/D) are read off one rank-two
 evolution, I + V diag(e^{-i lambda t} - 1, e^{i lambda t} - 1) V^dag
 with V the two eigenvector columns of G (``ffhub.RankTwoEvolution``).
-The per-order totals D^k C_k are evaluated by grid doubling (Chen's
-identity for iterated sums over joined intervals): the bit evolutions
-E(2^j) commute when the columns are orthonormal, so the residual on the
-upper half of a doubled grid is the lower half conjugated by one bit
-evolution.  That turns the D-point sums into log2(D) merge steps of
-(K+1)(K+2)/2 matmuls.
+The hubs enter the dressed residual B(d) = E(d)^dag H E(d) (H the
+normalized residual) only through V, so B(d) = H + (terms whose range and
+co-range lie in span{V, HV}).  E(d) maps every Krylov space
+S_j = span{H^i V : i <= j} into itself, because V lies in S_0, and a
+product of k <= K residuals takes S_K into S_2K.  So the per-order totals
+D^k C_k split exactly as
+
+    T_k = N_k H^k + Q_S R_k Q_S^dag,   N_k = C(D + k - 1, k),
+
+with Q_S an orthonormal basis of S_K, and R_k comes from the totals of
+the compressed residual on S_2K, whose dimension is at most
+min(N, 2(2K + 1)).  Those are evaluated by grid doubling (Chen's identity
+for iterated sums over joined intervals): the bit evolutions E(2^j)
+commute when the columns are orthonormal, so the residual on the upper
+half of a doubled grid is the lower half conjugated by one bit evolution.
+A solve's totals cost K - 1 N x N products for the powers of H, a thin
+block Arnoldi for the basis, and log2(D) merge steps on the small
+compressed operands, each a fixed number of batched numpy calls.  A
+hub-free graph has no columns and its totals are N_k H^k.
 
 The segment circuit holds the order k in unary: K qubits, of which order k
 sets the first k.  A chain of K two-level rotations, each controlled on the
@@ -354,47 +367,143 @@ def _check_commuting(evolution: RankTwoEvolution) -> None:
                             f"defect {worst:.3e} > 1e-12")
 
 
+def _powers(h: np.ndarray, big_k: int):
+    """Yield h^1, ..., h^K, each formed from the one before."""
+    h_k = h
+    yield h_k
+    for _ in range(1, big_k):
+        h_k = h @ h_k
+        yield h_k
+
+
+def _grid_doubling(powers: np.ndarray, evolution: RankTwoEvolution,
+                   tau: float, big_d: int) -> np.ndarray:
+    """The (K, r, r) stack of T_k = sum over d_1 <= ... <= d_k of
+    B(d_k) ... B(d_1), k = 1 .. K, with B(d) = E(d)^dag H E(d) and
+    E(d) = ``evolution.at(tau d / D)``; ``powers`` holds H^1 .. H^K.
+
+    Chen's identity for iterated sums over joined intervals: the totals
+    over [0, 2^(j+1)) split by how many indices fall in the upper half
+    [2^j, 2^(j+1)), where B(d + 2^j) = E_j^dag B(d) E_j with E_j = E(2^j),
+    because E(d + 2^j) = E(d) E_j and the evolutions commute, as they do
+    when the columns are orthonormal.  Starting from the single point
+    d=0, where T_k = H^k, each bit block, low to high, updates
+
+        T_k <- sum_{a+b=k} U_a T_b,   U_0 = I,  U_a = E_j^dag T_a E_j.
+
+    U_0 is the exact identity because the bit evolutions are unitary only
+    to rounding; one with unitarity defect delta moves T_k off the D-point
+    sum by about k log2(D) delta relative.  Per bit, one batched matmul
+    forms every cross product U_a T_b with a, b >= 1 and a + b <= K, and
+    one contraction with a 0/1 fold matrix sums them by order, so a merge
+    step costs a fixed number of numpy calls whatever K is.
+    """
+    shape = powers.shape
+    big_k, dim, _ = shape
+    pairs = [(a, b) for a in range(1, big_k) for b in range(1, big_k + 1 - a)]
+    left = np.array([a - 1 for a, _ in pairs], dtype=np.intp)
+    right = np.array([b - 1 for _, b in pairs], dtype=np.intp)
+    fold = np.zeros((big_k, len(pairs)))
+    fold[left + right + 1, np.arange(len(pairs))] = 1.0
+    series = powers
+    for j in range(int(math.log2(big_d))):
+        e_j = evolution.at(tau * 2 ** j / big_d)
+        upper = e_j.conj().T @ (series.reshape(-1, dim) @ e_j).reshape(shape)
+        joined = series + upper
+        if pairs:
+            cross = upper[left] @ series[right]
+            joined += (fold @ cross.reshape(len(pairs), -1)).reshape(shape)
+        series = joined
+    return series
+
+
+def _krylov_basis(h: np.ndarray, v: np.ndarray,
+                  big_k: int) -> tuple[np.ndarray, int]:
+    """(Q, s): orthonormal columns Q spanning S_2K and the dimension s of
+    S_K, whose basis is the first s columns, where S_j = span{H^i V :
+    i <= j}; H is a normalized block, ||H|| <= 1.
+
+    Block Arnoldi from V.  Each block H Q_j has unit columns up to the
+    factor ||H||; it is projected off the basis so far and deflated by an
+    SVD.  A singular value below (2K + 1) N eps, the rounding that 2K + 1
+    products and projections of length N leave, is a direction the basis
+    already holds.  The cut stays at rounding level because a dropped
+    direction costs its size relative to the block.  A kept direction was
+    normalized up from its singular value, so a part of about eps / sigma
+    of it still lies in the basis: it is projected off once more and the
+    block re-orthonormalized, which keeps Q orthonormal to rounding even
+    for a direction just above the cut.  Once a block deflates entirely,
+    S is invariant under H and the basis is complete."""
+    tol = (2 * big_k + 1) * len(v) * np.finfo(np.float64).eps
+    q = np.empty((len(v), 0), dtype=np.complex128)
+    block, widths = v, []
+    for _ in range(2 * big_k + 1):
+        u, sigma, _ = np.linalg.svd(block - q @ (q.conj().T @ block),
+                                    full_matrices=False)
+        kept = u[:, sigma > tol]
+        block = np.linalg.svd(kept - q @ (q.conj().T @ kept),
+                              full_matrices=False)[0]
+        q = np.hstack([q, block])
+        widths.append(block.shape[1])
+        if not block.shape[1]:
+            break
+        block = h @ block
+    return q, sum(widths[:big_k + 1])
+
+
 def _ordered_series_totals(dressed: DressedResidualEncoding,
                            big_k: int) -> list[np.ndarray]:
     """T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), k = 0 .. K,
-    with B(d) = E(d)^dag H2 E(d) = ``dressed.d_block(d)`` the normalized
-    dressed residual at grid point d and E_j = E(2^j) the bit evolutions.
+    with B(d) = E(d)^dag H E(d) = ``dressed.d_block(d)`` the normalized
+    dressed residual at grid point d, as N_k H^k plus a low-rank term.
 
-    Grid doubling (Chen's identity for iterated sums over joined
-    intervals): the totals over [0, 2^(j+1)) split by how many indices fall
-    in the upper half [2^j, 2^(j+1)), where B(d + 2^j) = E_j^dag B(d) E_j
-    because E(d + 2^j) = E(d) E_j and the evolutions commute, as they do
-    when the columns are orthonormal.  Starting from the single point
-    d=0, where T_k = H2^k, each bit block, low to high, updates
+    With E = I + V C V^dag (V the orthonormal exp(-iGt) columns, C
+    diagonal), B(d) = H + (terms whose range and co-range lie in
+    span{V, HV}).  Multiplied out over k factors, every word but H^k holds
+    such a term, and the H factors on either side of it take its range and
+    co-range at most k - 1 steps further, so for k <= K
 
-        T_k <- sum_{a+b=k} U_a T_b,   U_0 = I,  U_a = E_j^dag T_a E_j,
+        T_k = N_k H^k + Q_S R_k Q_S^dag,   N_k = C(D + k - 1, k),
 
-    for log2(D) (K+1)(K+2)/2 matmuls in all.  U_0 is the exact identity
-    because the bit evolutions are unitary only to rounding; one with
-    unitarity defect delta moves T_k off the D-point sum by about
-    k log2(D) delta relative.  Raises EncodingError when the columns are
-    not orthonormal to 1e-12 (see ``_check_commuting``).
+    the count of nondecreasing k-tuples, with Q_S an orthonormal basis of
+    the Krylov space S_K = span{H^j V : j <= K} (``_krylov_basis``; H
+    Hermitian).  R_k comes from the grid doubling itself, run on S_2K:
+    E(d) maps each S_j into itself because V lies in S_0, and H maps S_j
+    into S_(j+1), so k <= K factors take S_K into S_2K, where B(d) acts as
+    its compression E_r^dag H_r E_r, with H_r = Q^dag H Q and E_r the
+    rank-two evolution on the columns Q^dag V.  The compressed totals
+    T_r,k then give R_k = (T_r,k - N_k H_r^k) on the leading s x s block.
+    A hub-free graph has no columns, so T_k = N_k H^k.
+
+    Cost: K - 1 N x N products for the powers of H, a thin block Arnoldi,
+    and log2(D) batched merge steps at the reduced dimension, at most
+    min(N, 2(2K + 1)).  Raises EncodingError when the columns are not
+    orthonormal to 1e-12 (see ``_check_commuting``).
     """
-    h2_block = dressed.h2_norm_block
-    dim = h2_block.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
+    h = dressed.h2_norm_block
+    eye = np.eye(h.shape[0], dtype=np.complex128)
     if big_k == 0:
         return [eye]
-    _check_commuting(dressed.evolution)
-    # series[k - 1] holds T_k for k = 1 .. K; the a = 1 .. k-1 products of
-    # one order are batched into a single matmul call
-    series = np.empty((big_k, dim, dim), dtype=np.complex128)
-    series[0] = h2_block
-    for k in range(1, big_k):
-        series[k] = h2_block @ series[k - 1]
-    for j in range(int(math.log2(dressed.big_d))):
-        e_j = dressed.evolution.at(dressed.tau * 2 ** j / dressed.big_d)
-        upper = e_j.conj().T @ series @ e_j
-        joined = series + upper
-        for k in range(2, big_k + 1):
-            joined[k - 1] += np.sum(upper[:k - 1] @ series[k - 2::-1], axis=0)
-        series = joined
-    return [eye] + list(series)
+    evolution = dressed.evolution
+    _check_commuting(evolution)
+    counts = [float(math.comb(dressed.big_d + k - 1, k))
+              for k in range(1, big_k + 1)]
+    totals = [eye]
+    for n_k, h_k in zip(counts, _powers(h, big_k)):
+        totals.append(n_k * h_k)
+    if not evolution.v.shape[1]:
+        return totals
+    q, dim_k = _krylov_basis(h, evolution.v, big_k)
+    qh = q.conj().T
+    powers_r = np.stack(list(_powers(qh @ h @ q, big_k)))
+    reduced = _grid_doubling(powers_r, RankTwoEvolution(qh @ evolution.v,
+                                                        evolution.lam),
+                             dressed.tau, dressed.big_d)
+    q_s, qh_s = q[:, :dim_k], qh[:dim_k]
+    for k in range(1, big_k + 1):
+        r_k = reduced[k - 1] - counts[k - 1] * powers_r[k - 1]
+        totals[k] += q_s @ r_k[:dim_k, :dim_k] @ qh_s
+    return totals
 
 
 def _segment_registers(big_k: int, log_d: int, m_bank: int,

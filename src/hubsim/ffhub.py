@@ -53,6 +53,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -187,16 +188,23 @@ class RankTwoEvolution:
         # no phase without hubs, where V has no columns
         return self.v * [z.conjugate() - 1.0, z - 1.0][:self.v.shape[1]]
 
+    @cached_property
+    def _vh(self) -> np.ndarray:
+        """V^dag, formed once per evolution."""
+        return self.v.conj().T
+
     def at(self, t: float) -> np.ndarray:
         """The dense N x N block of exp(-iGt)."""
-        eye = np.eye(len(self.v), dtype=np.complex128)
-        return eye + self._scaled(t) @ self.v.conj().T
+        block = self._scaled(t) @ self._vh
+        diagonal = block.reshape(-1)[::len(block) + 1]
+        diagonal += 1.0
+        return block
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         """exp(-iGt) x in O(N) per column; ``x`` is a vector or a matrix of
         columns."""
         x = np.asarray(x, dtype=np.complex128)
-        return x + self._scaled(t) @ (self.v.conj().T @ x)
+        return x + self._scaled(t) @ (self._vh @ x)
 
 
 def classical_expG_apply(graph: HubSparseGraph, t: float,

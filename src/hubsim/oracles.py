@@ -27,6 +27,8 @@ applications count like plain ones.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import OracleContractError
@@ -65,56 +67,79 @@ class OracleGate(PermutationGate):
         self.counter.hit(self.oracle_name)
 
 
-def _row_tables(a_dense: np.ndarray, hub_flag: np.ndarray):
-    """Per-row neighbor order r(l, i) and missing-link order q(l, i), as
-    N x N int64 arrays, by one stable sort per table: each row lists first
-    the columns whose sort key is 0, then the rest, both ascending.
-
-    r puts the neighbors first.  q puts the zero entries first on a hub
-    row (the diagonal counts as a zero, the neighbors follow) and the
-    non-adjacent hubs first on a regular row."""
-    zero = a_dense == 0
-    r_rows = np.argsort(zero, axis=1, kind="stable")
-    q_first = np.where(hub_flag[:, None], zero, zero & hub_flag[None, :])
-    q_rows = np.argsort(~q_first, axis=1, kind="stable")
-    return r_rows, q_rows
-
-
 class OracleSet:
-    """The five oracle gates for one graph, sharing one query counter."""
+    """The five oracle gates for one graph, sharing one query counter.
+
+    The node count is checked here; every table is built on first use,
+    so a solve that never applies a gate or reads a row builds none."""
 
     def __init__(self, graph: HubSparseGraph):
         self.graph = graph
         self.counter = QueryCounter()
-        n = graph.n_nodes
-        if 2 ** graph.n_qubits != n:
+        if 2 ** graph.n_qubits != graph.n_nodes:
             raise OracleContractError("node count must be a power of two")
-        a_dense = graph.dense_adjacency()
-        hub_flag = graph.hub_mask()
-        self._r_rows, self._q_rows = _row_tables(a_dense, hub_flag)
 
+    @cached_property
+    def _zero(self) -> np.ndarray:
+        """N x N: True where the adjacency matrix is zero."""
+        return self.graph.dense_adjacency() == 0
+
+    @cached_property
+    def _hub_flag(self) -> np.ndarray:
+        return self.graph.hub_mask()
+
+    @cached_property
+    def _r_rows(self) -> np.ndarray:
+        """Neighbor order r(l, i) as an N x N int64 array, by one stable
+        sort: each row lists its neighbors first, then its zero entries,
+        both ascending."""
+        return np.argsort(self._zero, axis=1, kind="stable")
+
+    @cached_property
+    def _q_rows(self) -> np.ndarray:
+        """Missing-link order q(l, i), by one stable sort: a hub row lists
+        its zero entries first (the diagonal counts as a zero, the
+        neighbors follow), a regular row its non-adjacent hubs first, each
+        part ascending."""
+        zero, hub_flag = self._zero, self._hub_flag
+        q_first = np.where(hub_flag[:, None], zero, zero & hub_flag[None, :])
+        return np.argsort(~q_first, axis=1, kind="stable")
+
+    def _row_gate(self, rows: np.ndarray, name: str) -> OracleGate:
+        n = self.graph.n_nodes
+        row_base = np.arange(n, dtype=np.int64)[:, None] * n
+        return OracleGate((row_base + rows).reshape(-1), name, self.counter)
+
+    @cached_property
+    def o_a(self) -> OracleGate:
+        n = self.graph.n_nodes
         base = np.arange(n * n * 2, dtype=np.int64)
         ij = base >> 1
-        flip = a_dense.reshape(-1).astype(np.int64)
+        flip = (~self._zero).reshape(-1).astype(np.int64)
         perm_a = (ij << 1) | ((base & 1) ^ flip[ij])
-        self.o_a = OracleGate(perm_a, "O_A", self.counter)
+        return OracleGate(perm_a, "O_A", self.counter)
 
-        row_base = np.arange(n, dtype=np.int64)[:, None] * n
-        self.o_l = OracleGate((row_base + self._r_rows).reshape(-1), "O_L",
-                              self.counter)
+    @cached_property
+    def o_l(self) -> OracleGate:
+        return self._row_gate(self._r_rows, "O_L")
 
+    @cached_property
+    def o_h(self) -> OracleGate:
         # hubs ascending, then the non-hub nodes ascending
-        self.o_h = OracleGate(np.argsort(~hub_flag, kind="stable"), "O_H",
-                              self.counter)
+        return OracleGate(np.argsort(~self._hub_flag, kind="stable"), "O_H",
+                          self.counter)
 
-        base = np.arange(n * 2, dtype=np.int64)
+    @cached_property
+    def o_k(self) -> OracleGate:
+        base = np.arange(self.graph.n_nodes * 2, dtype=np.int64)
         i_part = base >> 1
-        hub_bit = hub_flag.astype(np.int64)
+        hub_bit = self._hub_flag.astype(np.int64)
         perm_k = (i_part << 1) | ((base & 1) ^ hub_bit[i_part])
-        self.o_k = OracleGate(perm_k, "O_K", self.counter)
+        return OracleGate(perm_k, "O_K", self.counter)
 
-        self.o_z = OracleGate((row_base + self._q_rows).reshape(-1), "O_Z",
-                              self.counter)
+    @cached_property
+    def o_z(self) -> OracleGate:
+        return self._row_gate(self._q_rows, "O_Z")
 
     def gates(self) -> dict[str, OracleGate]:
         return {"O_A": self.o_a, "O_L": self.o_l, "O_H": self.o_h,

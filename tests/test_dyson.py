@@ -186,6 +186,44 @@ _TOTALS_GRAPHS = [("dg8", "circuit"),
                   (_SMALL_HUB_PARAMS[-1], "circuit")]
 
 
+def _brute_force_totals(dressed, big_k):
+    """[T_1, ..., T_K], T_k the sum over every nondecreasing tuple
+    d_1 <= ... <= d_k of B(d_k) ... B(d_1) with B(d) the dressed residual
+    at grid point d, enumerated depth first: each product extends the
+    product of its prefix by one factor."""
+    b_grid = [dressed.d_block(d) for d in range(dressed.big_d)]
+    dim = len(b_grid[0])
+    totals = [np.zeros((dim, dim), dtype=np.complex128)
+              for _ in range(big_k)]
+
+    def extend(prefix, first, k):
+        for d in range(first, len(b_grid)):
+            product = b_grid[d] @ prefix
+            totals[k] += product
+            if k + 1 < big_k:
+                extend(product, d, k + 1)
+
+    extend(np.eye(dim, dtype=np.complex128), 0, 0)
+    return totals
+
+
+def _assert_totals_match_brute_force(dressed, totals, big_k):
+    # the doubling conjugates whole products by one bit evolution, which
+    # equals the product of conjugated factors only up to the unitarity
+    # defect of the bit evolutions formed from the columns (rounding in
+    # both tiers)
+    dim = len(dressed.h2_norm_block)
+    log_d = int(np.log2(dressed.big_d))
+    defect = max((spectral_norm(e.conj().T @ e - np.eye(dim))
+                  for e in (dressed.evolution.at(dressed.tau * 2 ** j
+                                                 / dressed.big_d)
+                            for j in range(log_d))), default=0.0)
+    for k, brute in enumerate(_brute_force_totals(dressed, big_k), 1):
+        scale = max(1.0, np.max(np.abs(brute)))
+        assert np.max(np.abs(totals[k] - brute)) \
+            <= (1e-10 + k * log_d * defect) * scale
+
+
 @pytest.mark.parametrize("big_d", [2, 8])
 @pytest.mark.parametrize("graph_key,method", _TOTALS_GRAPHS)
 def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
@@ -199,29 +237,162 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
     _, alpha2 = dyson.evolution_scales(graph)
     tau = 1.0 / (2.0 * alpha2)
     dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d)
-    b_grid = [dressed.d_block(d) for d in range(big_d)]
-    dim = 2 ** graph.n_qubits
-    log_d = int(np.log2(big_d))
-    # doubling conjugates whole products by one bit evolution, which equals
-    # the product of conjugated factors only up to the unitarity defect of
-    # the bit evolutions formed from the columns (rounding in both tiers)
-    defect = max(spectral_norm(e.conj().T @ e - np.eye(dim))
-                 for e in (dressed.evolution.at(tau * 2 ** j / big_d)
-                           for j in range(log_d)))
     for big_k in (1, 2, 3):
         seg = dyson.dyson_segment(LeafBlocks(graph, method),
                                   DysonConfig(tau, big_d, big_k, 2.0))
-        for k in range(1, big_k + 1):
-            brute = np.zeros((dim, dim), dtype=np.complex128)
-            for combo in itertools.combinations_with_replacement(
-                    range(big_d), k):
-                prod = np.eye(dim, dtype=np.complex128)
-                for d in combo:
-                    prod = b_grid[d] @ prod
-                brute += prod
-            scale = max(1.0, np.max(np.abs(brute)))
-            assert np.max(np.abs(seg.series_totals[k] - brute)) \
-                <= (1e-10 + k * log_d * defect) * scale
+        _assert_totals_match_brute_force(dressed, seg.series_totals, big_k)
+
+
+def _dressed(graph, big_d, method="classical-ff"):
+    _, alpha2 = dyson.evolution_scales(graph)
+    return dyson.build_dressed_H2(LeafBlocks(graph, method),
+                                  1.0 / (2.0 * alpha2), big_d)
+
+
+_SPLIT_PARAMS = [p for p in random_graph_params() if p[0] <= 32] \
+    + [(32, 2, 8, 1)]
+
+
+@given(params=st.sampled_from(_SPLIT_PARAMS), seed=st.integers(0, 2 ** 16),
+       big_k=st.integers(1, 4), log_d=st.integers(1, 4))
+@settings(max_examples=20)
+@example(params=(8, 0, 2, 1), seed=0, big_k=4, log_d=4)
+@example(params=(16, 4, 4, 4), seed=0, big_k=3, log_d=3)
+@example(params=(32, 2, 8, 1), seed=0, big_k=4, log_d=4)
+def test_split_totals_match_brute_force(params, seed, big_k, log_d):
+    # N_k H^k plus the term on the Krylov space equals the enumerated
+    # ordered sum: M = 0, 1, 2 and 4, h = 1, and Krylov spaces from
+    # dimension 2 (V invariant) to saturated and unsaturated
+    graph = netgraph.generate(*params, rng_seed=seed)
+    dressed = _dressed(graph, 2 ** log_d)
+    totals = dyson._ordered_series_totals(dressed, big_k)
+    assert len(totals) == big_k + 1
+    assert np.array_equal(totals[0], np.eye(graph.n_nodes))
+    _assert_totals_match_brute_force(dressed, totals, big_k)
+    if graph.m_hubs:
+        _krylov_leak(dressed, big_k)  # asserts an orthonormal basis
+
+
+def _krylov_leak(dressed, big_k):
+    """(Q, dim S_K, ||(I - Q Q^dag) H Q||): the last is zero to rounding
+    exactly when the span of Q is invariant under H."""
+    h = dressed.h2_norm_block
+    q, dim_k = dyson._krylov_basis(h, dressed.evolution.v, big_k)
+    assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-13)
+    return q, dim_k, np.linalg.norm(h @ q - q @ (q.conj().T @ h @ q))
+
+
+def test_split_totals_on_a_saturated_krylov_space(dg8):
+    # on dg8, S_j stops growing at dimension 5 from j = 2 on; the blocks
+    # past that deflate at rounding level, so K = 3 needs no more columns
+    # than K = 8
+    dressed = _dressed(dg8, 8)
+    for big_k, dim_k in ((1, 4), (2, 5), (3, 5), (8, 5)):
+        q, got, leak = _krylov_leak(dressed, big_k)
+        assert (q.shape[1], got) == (5, dim_k)
+        assert leak < 1e-13
+    _assert_totals_match_brute_force(
+        dressed, dyson._ordered_series_totals(dressed, 3), 3)
+
+
+def test_split_totals_on_an_unsaturated_krylov_space():
+    # generate(32, 2, 8, 4) at seed 0: S_2K grows by 4 dimensions per K
+    # and is not invariant under H, so the totals rest on the argument
+    # that k <= K factors take S_K into S_2K
+    dressed = _dressed(netgraph.generate(32, 2, 8, 4, rng_seed=0), 8)
+    q, dim_k, leak = _krylov_leak(dressed, 3)
+    assert (q.shape[1], dim_k) == (14, 8)
+    assert leak > 1e-2
+    _assert_totals_match_brute_force(
+        dressed, dyson._ordered_series_totals(dressed, 3), 3)
+
+
+@pytest.mark.parametrize("leak", [1e-6, 1e-9, 1e-12])
+def test_krylov_basis_stays_orthonormal_near_the_cut(leak):
+    # V lies in a 4-dimensional invariant space of H up to a part of size
+    # leak, so the Arnoldi block after that space fills holds only a
+    # direction of size about leak: kept above the cut, it was normalized
+    # up from leak, and the basis must still be orthonormal to rounding
+    # and hold every H^j V, j <= 2K
+    rng = np.random.default_rng(11)
+    dim, big_k = 16, 4
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim))
+                            + 1j * rng.normal(size=(dim, dim)))
+    h = basis @ np.diag(np.linspace(-0.9, 0.9, dim)) @ basis.conj().T
+    v, _ = np.linalg.qr(basis[:, :4] @ rng.normal(size=(4, 2))
+                        + leak * basis[:, 4:6])
+    q, dim_k = dyson._krylov_basis(h, v, big_k)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) < 1e-14
+    assert dim_k <= q.shape[1] <= 2 * (2 * big_k + 1)
+    krylov = v
+    for _ in range(2 * big_k + 1):
+        assert np.linalg.norm(krylov - q @ (q.conj().T @ krylov)) < 1e-13
+        krylov = h @ krylov
+
+
+def test_split_totals_at_an_ff_n16_input_past_the_cut():
+    # an ff-n16 input whose Arnoldi leaves a rounding-level direction near
+    # the cut at block 5 (K = 7): kept without re-orthogonalization, it
+    # broke the basis and the solve missed eps by 2x
+    graph = netgraph.generate(16, 2, 4, 2, rng_seed=1601646715)
+    cfg = default_config(graph, 1.0, 1e-2)
+    dressed = dyson.build_dressed_H2(LeafBlocks(graph, "classical-ff"),
+                                     cfg.tau, cfg.big_d)
+    dense = dyson._grid_doubling(
+        np.stack(list(dyson._powers(dressed.h2_norm_block, cfg.big_k))),
+        dressed.evolution, cfg.tau, cfg.big_d)
+    totals = dyson._ordered_series_totals(dressed, cfg.big_k)
+    for k in range(1, cfg.big_k + 1):
+        scale = np.max(np.abs(dense[k - 1]))
+        assert np.max(np.abs(totals[k] - dense[k - 1])) <= 1e-13 * scale
+    psi0 = np.full(16, 0.25, dtype=np.complex128)
+    psi, _ = dyson.simulate_full(graph, 1.0, 1e-2, psi0,
+                                 method="classical-ff")
+    reference = refcheck.dense_expm(graph.dense_adjacency(), 1.0) @ psi0
+    assert refcheck.distance(psi, reference) <= 1e-2
+
+
+def test_split_totals_without_hubs_are_powers_of_the_residual():
+    # no columns: T_k = C(D + k - 1, k) H^k, whatever the grid
+    dressed = _dressed(netgraph.generate(8, 0, 2, 1, rng_seed=0), 16)
+    h = dressed.h2_norm_block
+    totals = dyson._ordered_series_totals(dressed, 4)
+    for k in range(1, 5):
+        expected = math.comb(16 + k - 1, k) * np.linalg.matrix_power(h, k)
+        assert np.allclose(totals[k], expected, rtol=1e-13, atol=0.0)
+    _assert_totals_match_brute_force(dressed, totals, 4)
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_split_totals_at_first_order_sum_the_grid(dg8, method):
+    # K = 1: T_1 is the plain sum of the D dressed residual blocks
+    dressed = _dressed(dg8, 16, method)
+    t_1 = sum(dressed.d_block(d) for d in range(16))
+    totals = dyson._ordered_series_totals(dressed, 1)
+    assert len(totals) == 2
+    assert np.max(np.abs(totals[1] - t_1)) <= 1e-13 * np.max(np.abs(t_1))
+
+
+@pytest.mark.parametrize("graph_key,t,eps,method", [
+    pytest.param("dg8", 1.3, 1e-2, "circuit", id="circuit-dg8"),
+    pytest.param((16, 2, 4, 2, 5), 1.0, 1e-2, "classical-ff", id="ff-n16"),
+    pytest.param((32, 2, 8, 2, 7), 1.0, 0.1, "circuit", id="circuit-n32"),
+])
+def test_split_totals_match_the_dense_doubling(graph_key, t, eps, method):
+    # at the schedules a solve uses (D up to 4096, K up to 8), where no
+    # enumeration is feasible: the same doubling run on the N x N operands
+    graph = (netgraph.dg8() if graph_key == "dg8"
+             else netgraph.generate(*graph_key[:4], rng_seed=graph_key[4]))
+    cfg = default_config(graph, t, eps)
+    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), cfg.tau,
+                                     cfg.big_d)
+    dense = dyson._grid_doubling(
+        np.stack(list(dyson._powers(dressed.h2_norm_block, cfg.big_k))),
+        dressed.evolution, cfg.tau, cfg.big_d)
+    totals = dyson._ordered_series_totals(dressed, cfg.big_k)
+    for k in range(1, cfg.big_k + 1):
+        scale = np.max(np.abs(dense[k - 1]))
+        assert np.max(np.abs(totals[k] - dense[k - 1])) <= 1e-13 * scale
 
 
 def test_series_totals_reject_noncommuting_bit_blocks(dg8):
@@ -983,6 +1154,68 @@ def test_dg8_segment_counts_are_pinned(dg8):
     assert seg.gate_count() == 1054
     assert seg.query_profile() == {"O_H": 48, "O_Z": 16, "O_A": 48,
                                    "O_K": 80, "O_L": 16}
+
+
+_BENCHMARK_SETTINGS = {
+    # name: (generate parameters and seed, or None for dg8; t; eps; tier)
+    "ff-n16": ((16, 2, 4, 2, 5), 1.0, 1e-2, "classical-ff"),
+    "circuit-dg8": (None, 1.3, 1e-2, "circuit"),
+    "circuit-n32": ((32, 2, 8, 2, 7), 1.0, 0.1, "circuit"),
+}
+
+_PINNED_REPORTS = {
+    "ff-n16": (23, {
+        "t": 1.0, "eps": 1e-2, "method": "classical-ff", "segments": 16,
+        "K": 7, "D": 4096, "tau": 1.0 / 16, "alpha1": math.sqrt(28),
+        "alpha2": 8.0,
+        "queries": {"O_A": 15456, "O_H": 15488, "O_K": 25760, "O_L": 5152,
+                    "O_Z": 5152},
+        "budget": {"segment_series": 1e-2 / 16,
+                   "segment_amplification": 1e-2 / 16 / 10.0}}),
+    "circuit-dg8": (23, {
+        "t": 1.3, "eps": 1e-2, "method": "circuit", "segments": 21,
+        "K": 8, "D": 4096, "tau": 1.3 / 21, "alpha1": math.sqrt(12),
+        "alpha2": 8.0,
+        "queries": {"O_A": 23184, "O_H": 23226, "O_K": 38640, "O_L": 7728,
+                    "O_Z": 7728},
+        "budget": {"segment_series": 1e-2 / 21,
+                   "segment_amplification": 1e-2 / 21 / 10.0}}),
+    "circuit-n32": (19, {
+        "t": 1.0, "eps": 0.1, "method": "circuit", "segments": 24,
+        "K": 6, "D": 512, "tau": 1.0 / 24, "alpha1": math.sqrt(60),
+        "alpha2": 12.0,
+        "queries": {"O_A": 16416, "O_H": 16464, "O_K": 27360, "O_L": 5472,
+                    "O_Z": 5472},
+        "budget": {"segment_series": 0.1 / 24,
+                   "segment_amplification": 0.1 / 24 / 10.0}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_SETTINGS))
+def test_benchmark_settings_keep_their_deterministic_fields(name,
+                                                            monkeypatch):
+    # the schedule (K, D, segments), the amplification degree L and the
+    # query tallies of the three benchmark settings at fixed seeds: a
+    # speed change must leave every report field but norm_deficit as it is
+    key, t, eps, method = _BENCHMARK_SETTINGS[name]
+    graph = (netgraph.dg8() if key is None
+             else netgraph.generate(*key[:4], rng_seed=key[4]))
+    degrees = []
+    amplify = dyson.fixed_point_aa
+
+    def recording(be, eps_aa):
+        amplified = amplify(be, eps_aa)
+        degrees.append(amplified.aa_degree)
+        return amplified
+
+    monkeypatch.setattr(dyson, "fixed_point_aa", recording)
+    psi0 = np.zeros(graph.n_nodes, dtype=np.complex128)
+    psi0[0] = 1.0
+    _, report = dyson.simulate_full(graph, t, eps, psi0, method=method)
+    doc = report.as_dict()
+    doc.pop("norm_deficit")
+    assert (degrees, doc) == ([_PINNED_REPORTS[name][0]],
+                              _PINNED_REPORTS[name][1])
 
 
 def test_structural_profile_matches_enumeration(dg8):
