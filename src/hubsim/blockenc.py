@@ -41,7 +41,7 @@ class BlockEncoding:
     """Unitary plus (alpha, m, eps) metadata over an n-qubit system."""
 
     def __init__(self, unitary: LinearOperator, alpha: float, m: int,
-                 n_sys: int, eps: float = 0.0, block_fn=None, label: str = ""):
+                 n_sys: int, eps: float = 0.0, label: str = ""):
         if unitary.width != m + n_sys:
             raise RegisterError(
                 f"unitary width {unitary.width} != m + n = {m}+{n_sys}")
@@ -53,23 +53,17 @@ class BlockEncoding:
         self.n_sys = int(n_sys)
         self.eps = float(eps)
         self.label = label or unitary.label
-        self._block_fn = block_fn
         self._block_cache: np.ndarray | None = None
 
     def block(self) -> np.ndarray:
         """Dense 2^n x 2^n encoded block (cached)."""
         if self._block_cache is None:
-            if self._block_fn is not None:
-                self._block_cache = np.asarray(self._block_fn(),
-                                               dtype=np.complex128)
-            else:
-                self._block_cache = self._full_block()
+            self._block_cache = self._full_block()
         return self._block_cache
 
     def _full_block(self) -> np.ndarray:
-        """Block without a ``block_fn``: circuit extraction.  Subclasses
-        override this, since a bound method as ``block_fn`` is a reference
-        cycle that keeps the encoding alive until a full collection."""
+        """The block ``block`` caches: circuit extraction.  Subclasses
+        that know their block without the circuit override this."""
         return extract_block(self.unitary, self.n_sys)
 
     def apply_block(self, vec: np.ndarray) -> np.ndarray:
@@ -90,10 +84,7 @@ def zero_encoding(n_sys: int, label: str = "zero") -> BlockEncoding:
     """(1, 1)-encoding of the zero matrix: an ancilla flag that always fires."""
     circ = Circuit(RegisterLayout(("flag", 1), ("sys", n_sys)), label=label)
     circ.append(x_gate(), on=["flag"])
-    return BlockEncoding(circ, 1.0, 1, n_sys,
-                         block_fn=lambda: np.zeros((2 ** n_sys, 2 ** n_sys),
-                                                   dtype=np.complex128),
-                         label=label)
+    return BlockEncoding(circ, 1.0, 1, n_sys, label=label)
 
 
 def verify(be: BlockEncoding, target: np.ndarray) -> float:
@@ -124,6 +115,22 @@ def unitary_with_first_column(col: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(np.column_stack((col, np.eye(len(col)))))
     q[:, 0] *= r[0, 0] / abs(r[0, 0])
     return q
+
+
+class _LcuEncoding(BlockEncoding):
+    """Linear combination whose block is the weighted sum of its terms'
+    blocks, each weight y_j alpha_j / lambda."""
+
+    def __init__(self, unitary, lam, m, n, eps, terms):
+        super().__init__(unitary, lam, m, n, eps=eps, label="lcu")
+        self.terms = terms
+
+    def _full_block(self) -> np.ndarray:
+        dim = 2 ** self.n_sys
+        total = np.zeros((dim, dim), dtype=np.complex128)
+        for w, be in self.terms:
+            total += w * be.block()
+        return total
 
 
 def lcu(coeffs, bes) -> BlockEncoding:
@@ -173,16 +180,7 @@ def lcu(coeffs, bes) -> BlockEncoding:
 
     eps = float(sum(abs(c) for c in coeffs) * max(be.eps for be in bes))
     sub = [(complex(w / lam), be) for w, be in zip(weights, bes) if w != 0]
-
-    def block_fn():
-        dim = 2 ** n
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for w, be in sub:
-            total += w * be.block()
-        return total
-
-    return BlockEncoding(circ, lam, bank + idx_width, n, eps=eps,
-                         block_fn=block_fn, label="lcu")
+    return _LcuEncoding(circ, lam, bank + idx_width, n, eps, sub)
 
 
 # -- fixed-point amplification ------------------------------------------------
@@ -256,6 +254,26 @@ def amplification_degree(alpha: float, eps: float) -> int:
     return big_l
 
 
+class _AmplifiedEncoding(BlockEncoding):
+    """Amplified encoding of degree ``aa_degree``, whose block is the
+    phase sequence's scalar response applied to each singular value of the
+    inner encoding's block."""
+
+    def __init__(self, unitary, inner: BlockEncoding, eps: float,
+                 aa_degree: int, pairs, correction: float):
+        super().__init__(unitary, 1.0, inner.m + 1, inner.n_sys, eps=eps,
+                         label=f"aa({inner.label})")
+        self.inner = inner
+        self.aa_degree = aa_degree
+        self.pairs = pairs
+        self.correction = correction
+
+    def _full_block(self) -> np.ndarray:
+        u_svd, sig, vh_svd = np.linalg.svd(self.inner.block())
+        z = np.array([_model_scalar(self.pairs, float(s)) for s in sig])
+        return np.exp(1j * self.correction) * (u_svd * z) @ vh_svd
+
+
 def fixed_point_aa(be: BlockEncoding, eps: float) -> BlockEncoding:
     """Amplify an encoding of a (near-)unitary to a (1, m+1, .)-encoding.
 
@@ -301,13 +319,5 @@ def fixed_point_aa(be: BlockEncoding, eps: float) -> BlockEncoding:
         return circ
 
     circ = LazyCircuit(1 + m + n, build_circuit, label="amplified")
-
-    def block_fn():
-        u_svd, sig, vh_svd = np.linalg.svd(be.block())
-        z = np.array([_model_scalar(pairs, float(s)) for s in sig])
-        return np.exp(1j * correction) * (u_svd * z) @ vh_svd
-
-    out = BlockEncoding(circ, 1.0, m + 1, n, eps=eps + 2.0 * be.eps,
-                        block_fn=block_fn, label=f"aa({be.label})")
-    out.aa_degree = big_l
-    return out
+    return _AmplifiedEncoding(circ, be, eps + 2.0 * be.eps, big_l, pairs,
+                              correction)

@@ -3,8 +3,9 @@ encoding verification, simulation, and query-count benchmarks.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 resource cap exceeded.  JSON outputs are byte-identical across identical
-invocations (floats carry 17 significant digits); the benchmark CSV's
-wall-clock column is measured and therefore excluded from that guarantee.
+invocations (floats are written as their shortest round-trip repr); the
+benchmark CSV's wall-clock column is measured and therefore excluded from
+that guarantee.
 """
 
 from __future__ import annotations
@@ -108,13 +109,16 @@ def cmd_split(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = netgraph.load_graph(args.graph)
-    spec = ffhub.spectrum_G(graph)
+    if not 0 < graph.m_hubs < graph.n_nodes:
+        raise ParameterError(f"degenerate link matrix for M={graph.m_hubs}: "
+                             "no nonzero eigenpairs")
+    evolution = ffhub.RankTwoEvolution.of(graph)
     doc = {
-        "lambda_plus": spec.lambda_plus,
-        "lambda_minus": spec.lambda_minus,
+        "lambda_plus": evolution.lam,
+        "lambda_minus": -evolution.lam,
         "zero_eigenvalue_count": graph.n_nodes - 2,
-        "psi_plus": [float(x.real) for x in spec.psi_plus],
-        "psi_minus": [float(x.real) for x in spec.psi_minus],
+        "psi_plus": evolution.v[:, 0].real.tolist(),
+        "psi_minus": evolution.v[:, 1].real.tolist(),
     }
     _write_output(dump_json(doc), args.output)
     return EXIT_OK

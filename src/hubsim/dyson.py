@@ -188,10 +188,10 @@ class LeafBlocks:
     each and drops them with the solve; the evolution costs two N-entry
     columns, not an N x N extraction.  The exp(-iGt) circuits are exact,
     so they take no share of the error budget.  The oracle set is built
-    on first use when none is given; one built on another graph raises
-    ``ParameterError``.  Both tiers hold dense N x N blocks, so a graph
-    past the dense-block cap raises ``ResourceError`` before anything is
-    validated or built.
+    here when none is given, its tables on first use; one built on another
+    graph raises ``ParameterError``.  Both tiers hold dense N x N blocks,
+    so a graph past the dense-block cap raises ``ResourceError`` before
+    anything is validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -202,18 +202,13 @@ class LeafBlocks:
         report = validate(graph)
         if not report.passed:
             raise GraphStructureError("; ".join(report.failures()))
-        if oracle_set is not None and oracle_set.graph != graph:
+        if oracle_set is None:
+            oracle_set = build_oracle_set(graph)
+        elif oracle_set.graph != graph:
             raise ParameterError("oracle set was built on another graph")
         self.graph = graph
         self.method = method
-        self._oracles = oracle_set
-        self._h2 = None
-
-    @property
-    def oracles(self) -> OracleSet:
-        if self._oracles is None:
-            self._oracles = build_oracle_set(self.graph)
-        return self._oracles
+        self.oracles = oracle_set
 
     @cached_property
     def evolution(self) -> RankTwoEvolution:
@@ -225,15 +220,14 @@ class LeafBlocks:
             return RankTwoEvolution.of(self.graph, self.oracles)
         return RankTwoEvolution.of(self.graph)
 
+    @cached_property
     def h2_encoding(self) -> BlockEncoding:
-        if self._h2 is None:
-            self._h2 = encode_H2(self.oracles)
-        return self._h2
+        return encode_H2(self.oracles)
 
     def h2_block(self) -> tuple[np.ndarray, float, int]:
         """(normalized residual block, alpha2, ancilla count)."""
         if self.method == "circuit":
-            be = self.h2_encoding()
+            be = self.h2_encoding
             return be.block(), be.alpha, be.m
         _, alpha2 = evolution_scales(self.graph)
         n = self.graph.n_qubits
@@ -332,7 +326,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float,
         layout = RegisterLayout(("h2bank", m_h2), ("d", log_d), ("sys", n))
         circ = Circuit(layout, label="dressed_h2")
         circ.append(select.unitary, on=["d", "sys"])
-        circ.append(leaves.h2_encoding().unitary, on=["h2bank", "sys"])
+        circ.append(leaves.h2_encoding.unitary, on=["h2bank", "sys"])
         circ.append(select.unitary, on=["d", "sys"], adjoint=True)
         return circ
 
@@ -716,11 +710,13 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
     every leaf from its circuit, "classical-ff" substitutes the verified
     dense forms.  The rotation applies that source's exp(-iG tau) to the
-    state at O(N).  The rotation and the time select are exact, so the
-    report's budget names only the segment series and its amplification.
-    An eps whose amplification share (eps_segment / 10) lies below
-    ``blockenc.EPS_FLOOR`` raises ``ParameterError`` before any segment is
-    built.
+    state at O(N).  The rotation and the time select are exact and claim
+    nothing.  The report's ``budget`` lists the per-slice scheduled shares,
+    eps_segment = eps/n and eps_aa = eps_segment / 10, but the amplified
+    segment claims eps_aa + 2 eps_segment (``fixed_point_aa``), so the n
+    slices claim 2.1 eps in sum, not eps.  An eps whose amplification
+    share lies below ``blockenc.EPS_FLOOR`` raises ``ParameterError``
+    before any segment is built.
     """
     check_eps(eps)
     check_t(t)

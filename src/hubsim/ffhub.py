@@ -37,9 +37,10 @@ Multiplied out with v+- = V+- |0^n>, the same two orthogonal projectors
 give exp(-iGt) = I + V diag(e^{-i lambda t} - 1, e^{i lambda t} - 1)
 V^dag with V = [v+, v-], N x 2.  ``RankTwoEvolution`` holds only V and
 lambda: the prepared columns in the circuit tier (one O_H query each) or
-psi+- of ``spectrum_G``, and no columns without hubs.  Its dense blocks
-and its O(N)-per-column ``apply`` serve every solve stage, and
-``classical_expG_apply`` is ``apply`` on psi+-.
+psi+- formed from the hub mask, and no columns where G is zero.  It is the
+one holder of G's eigenpairs: ``hubsim spectrum`` reads them from it too.
+Its dense blocks and its O(N)-per-column ``apply`` serve every solve
+stage, and ``classical_expG_apply`` is ``apply`` on psi+-.
 
 The time select sum_d |d><d| (x) exp(-iG t d) over a log2(D)-qubit grid
 register d is the same circuit with each Z0(-+lambda t d) written as
@@ -66,34 +67,10 @@ from .oracles import OracleSet
 from .qstate import Circuit, DenseGate, RegisterLayout, hadamard_layer
 
 
-@dataclass(frozen=True)
-class GSpectrum:
-    """Nonzero eigenpairs of the link matrix G."""
-
-    lambda_plus: float
-    lambda_minus: float
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-
-
 def link_norm(graph: HubSparseGraph) -> float:
     """Spectral norm of G: sqrt(M(N-M)); zero when the graph has no hubs."""
     m, n = graph.m_hubs, graph.n_nodes
     return float(np.sqrt(m * (n - m))) if m else 0.0
-
-
-def spectrum_G(graph: HubSparseGraph) -> GSpectrum:
-    n, m = graph.n_nodes, graph.m_hubs
-    if m < 1 or m >= n:
-        raise ParameterError(
-            f"degenerate link matrix for M={m}: no nonzero eigenpairs")
-    mask = graph.hub_mask()
-    u_hub = mask.astype(np.complex128) / np.sqrt(m)
-    u_reg = (~mask).astype(np.complex128) / np.sqrt(n - m)
-    lam = float(np.sqrt(m * (n - m)))
-    psi_plus = (u_hub + u_reg) / np.sqrt(2.0)
-    psi_minus = (u_hub - u_reg) / np.sqrt(2.0)
-    return GSpectrum(lam, -lam, psi_plus, psi_minus)
 
 
 def _split_prep(k: int) -> Circuit:
@@ -158,9 +135,9 @@ def prepared_state(oracles: OracleSet, sign: int) -> np.ndarray:
 class RankTwoEvolution:
     """exp(-iGt) = I + V diag(e^{-i lam t} - 1, e^{i lam t} - 1) V^dag,
     held as the eigenvector columns V = [v+, v-] of the eigenvalues +-lam
-    (either sign of each column gives the same evolution).  Without hubs V
-    has no columns and every block is the identity.  ``at`` and ``apply``
-    raise ``ParameterError`` for a non-finite t."""
+    (either sign of each column gives the same evolution).  Where G is
+    zero V has no columns and every block is the identity.  ``at`` and
+    ``apply`` raise ``ParameterError`` for a non-finite t."""
 
     v: np.ndarray
     lam: float
@@ -169,13 +146,18 @@ class RankTwoEvolution:
     def of(cls, graph: HubSparseGraph,
            oracles: OracleSet | None = None) -> "RankTwoEvolution":
         """The columns of ``graph``: with ``oracles``, the preparations V+-
-        run once each on |0^n> (one O_H query apiece); without, psi+- of
-        ``spectrum_G``.  No columns and no query without hubs."""
-        if not graph.m_hubs:
-            return cls(np.zeros((graph.n_nodes, 0), dtype=np.complex128), 0.0)
+        run once each on |0^n> (one O_H query apiece); without, psi+- =
+        (u_hub +- u_reg)/sqrt 2 from the hub mask.  No columns and no query
+        where G is zero: without hubs, or with hubs only."""
+        n, m = graph.n_nodes, graph.m_hubs
+        if not 0 < m < n:
+            return cls(np.zeros((n, 0), dtype=np.complex128), 0.0)
         if oracles is None:
-            spec = spectrum_G(graph)
-            columns = (spec.psi_plus, spec.psi_minus)
+            mask = graph.hub_mask()
+            u_hub = mask.astype(np.complex128) / np.sqrt(m)
+            u_reg = (~mask).astype(np.complex128) / np.sqrt(n - m)
+            columns = ((u_hub + u_reg) / np.sqrt(2.0),
+                       (u_hub - u_reg) / np.sqrt(2.0))
         else:
             columns = tuple(prepared_state(oracles, sign) for sign in (+1, -1))
         return cls(np.stack(columns, axis=1), link_norm(graph))

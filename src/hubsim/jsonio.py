@@ -1,60 +1,15 @@
-"""Deterministic JSON / CSV rendering.
+"""Deterministic JSON rendering.
 
-Floating point fields are always rendered with 17 significant digits so
-that identical invocations produce byte-identical files.
+Floats are written as their shortest round-trip repr, so identical
+invocations produce byte-identical files and every float reads back with
+the same bits.  A non-finite float raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
+import json
 
 
-def format_float(x: float) -> str:
-    if isinstance(x, bool):  # bool is an int subclass, guard first
-        raise TypeError("bool is not a float field")
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite float in serialized output: {x!r}")
-    return format(float(x), ".17g")
-
-
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if hasattr(obj, "item") and not isinstance(obj, (str, dict, list, tuple)):
-        return _render(obj.item(), indent, level)  # numpy scalars
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
-        return f'"{out}"'
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            items.append(f'{pad_in}"{key}": {_render(value, indent, level + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(isinstance(v, (int, float, str)) and not isinstance(v, bool) for v in seq)
-        inner = [_render(v, indent, level + 1) for v in seq]
-        if flat and sum(len(s) for s in inner) < 70:
-            return "[" + ", ".join(inner) + "]"
-        return "[\n" + ",\n".join(pad_in + s for s in inner) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
-
-
-def dump_json(obj, indent: int = 2) -> str:
+def dump_json(obj) -> str:
     """Render ``obj`` as a deterministic JSON document (trailing newline)."""
-    return _render(obj, indent, 0) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, ensure_ascii=False) + "\n"

@@ -54,10 +54,12 @@ def test_false_claim_raises():
 
 
 def test_verify_fails_on_a_non_finite_error():
-    nan_block = BlockEncoding(x_gate(), 1.0, 0, 1,
-                              block_fn=lambda: np.full((2, 2), np.nan))
+    class NanBlock(BlockEncoding):
+        def _full_block(self):
+            return np.full((2, 2), np.nan)
+
     with pytest.raises(EncodingError):
-        verify(nan_block, np.eye(2))
+        verify(NanBlock(x_gate(), 1.0, 0, 1), np.eye(2))
 
 
 def test_verify_dimension_mismatch():

@@ -55,14 +55,32 @@ def test_split_output(graph_file, tmp_path, capsys):
 def test_spectrum_output(graph_file, capsys):
     assert run_cli("spectrum", graph_file) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["lambda_plus"] == pytest.approx(np.sqrt(12))
+    lam = doc["lambda_plus"]
+    assert lam == pytest.approx(np.sqrt(12))
+    assert doc["lambda_minus"] == -lam
     assert doc["zero_eigenvalue_count"] == 6
+    # psi+- are orthonormal eigenvectors of G for +-lambda
+    psi = np.array([doc["psi_plus"], doc["psi_minus"]]).T
+    assert np.max(np.abs(psi.T @ psi - np.eye(2))) <= 1e-12
+    g = netgraph.dg8().dense_link_matrix()
+    assert np.max(np.abs(g @ psi - psi * [lam, -lam])) <= 1e-12
 
 
-def test_spectrum_hub_free_exits_2(tmp_path):
+def test_spectrum_hub_free_exits_2(tmp_path, capsys):
     path = tmp_path / "g0.json"
     netgraph.save_graph(netgraph.generate(8, 0, 2, 1, 0), str(path))
     assert run_cli("spectrum", str(path)) == 2
+    assert "no nonzero eigenpairs" in capsys.readouterr().err
+
+
+def test_spectrum_all_hubs_exits_2(tmp_path, capsys):
+    # M = N leaves no regular node: G is zero
+    doc = netgraph.to_json_dict(netgraph.dg8())
+    doc["hubs"], doc["params"]["M"] = list(range(8)), 8
+    path = tmp_path / "all_hubs.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("spectrum", str(path)) == 2
+    assert "no nonzero eigenpairs" in capsys.readouterr().err
 
 
 def test_bad_hub_list_exits_2(tmp_path):
@@ -146,13 +164,23 @@ def test_simulate_dense_method(graph_file, tmp_path):
     assert doc["final_error_vs_reference"] <= 1e-12
 
 
-def test_simulate_reports_byte_identical(graph_file, tmp_path):
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    for out in (out1, out2):
-        assert run_cli("simulate", graph_file, "--t", "0.5", "--eps", "1e-2",
-                       "--method", "classical-ff", "--check",
-                       "-o", str(out)) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("split",), ("spectrum",), ("verify-be", "--t", "0.9"),
+    ("simulate", "--t", "0.5", "--eps", "1e-2", "--method", "classical-ff",
+     "--check", "--state-out", "STATE"),
+], ids=lambda argv: argv[0])
+def test_reports_byte_identical(graph_file, tmp_path, argv):
+    # every JSON-writing subcommand writes the same bytes on a second run;
+    # STATE stands for the run's --state-out file
+    def run(tag):
+        out, state = tmp_path / f"{tag}.json", tmp_path / f"{tag}_state.json"
+        tail = [str(state) if arg == "STATE" else arg for arg in argv[1:]]
+        assert run_cli(argv[0], graph_file, *tail, "-o", str(out)) == 0
+        return [path.read_bytes() for path in (out, state) if path.exists()]
+
+    first = run("r1")
+    assert len(first) == 1 + ("STATE" in argv)
+    assert run("r2") == first
 
 
 def test_simulate_psi0_file(graph_file, tmp_path):

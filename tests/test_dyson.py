@@ -1227,7 +1227,7 @@ def test_structural_profile_matches_enumeration(dg8):
         leaves = LeafBlocks(graph)
         parts = (build_expG(leaves.oracles, 0.25),
                  dyson.build_selectG(leaves, 0.25, 8),
-                 leaves.h2_encoding())
+                 leaves.h2_encoding)
         combined = Counter()
         for be in parts:
             combined.update(be.query_profile())

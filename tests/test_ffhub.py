@@ -11,23 +11,21 @@ from hubsim.qstate import extract_block, spectral_norm
 
 
 def test_spectrum_values_dg8(dg8):
-    spec = ffhub.spectrum_G(dg8)
-    assert spec.lambda_plus == pytest.approx(np.sqrt(12))
-    assert spec.lambda_minus == pytest.approx(-np.sqrt(12))
+    assert ffhub.RankTwoEvolution.of(dg8).lam == pytest.approx(np.sqrt(12))
 
 
 def test_spectrum_values_half_hubs():
     g = netgraph.generate(8, 4, 4, 4, rng_seed=1)
-    spec = ffhub.spectrum_G(g)
-    assert spec.lambda_plus == pytest.approx(4.0)
+    assert ffhub.RankTwoEvolution.of(g).lam == pytest.approx(4.0)
 
 
 def test_spectrum_eigvector_property(dg8, dg8_dense):
-    spec = ffhub.spectrum_G(dg8)
+    evolution = ffhub.RankTwoEvolution.of(dg8)
+    lam, (psi_plus, psi_minus) = evolution.lam, evolution.v.T
     g = dg8_dense["G"]
-    assert np.linalg.norm(g @ spec.psi_plus - spec.lambda_plus * spec.psi_plus) < 1e-12
-    assert np.linalg.norm(g @ spec.psi_minus - spec.lambda_minus * spec.psi_minus) < 1e-12
-    assert abs(np.vdot(spec.psi_plus, spec.psi_minus)) < 1e-14
+    assert np.linalg.norm(g @ psi_plus - lam * psi_plus) < 1e-12
+    assert np.linalg.norm(g @ psi_minus + lam * psi_minus) < 1e-12
+    assert abs(np.vdot(psi_plus, psi_minus)) < 1e-14
 
 
 def test_zero_eigenvalue_count(dg8_dense):
@@ -44,17 +42,11 @@ def test_link_matrix_spectrum_families(n, m):
     assert np.allclose(evals[-2:], lam, atol=1e-9)
 
 
-def test_spectrum_degenerate_raises():
-    g = netgraph.generate(8, 0, 2, 1, rng_seed=0)
-    with pytest.raises(ParameterError):
-        ffhub.spectrum_G(g)
-
-
 def test_p_pm_alpha_and_direction(dg8, dg8_oracles):
     # the preparations are exact unitaries (factor 1, no ancilla): V+ |0>
     # is psi+ and V- |0> is -psi-
-    spec = ffhub.spectrum_G(dg8)
-    for sign, target in ((+1, spec.psi_plus), (-1, -spec.psi_minus)):
+    psi_plus, psi_minus = ffhub.RankTwoEvolution.of(dg8).v.T
+    for sign, target in ((+1, psi_plus), (-1, -psi_minus)):
         prepared = ffhub.prepared_state(dg8_oracles, sign)
         assert np.max(np.abs(prepared - target)) < 1e-15
 
@@ -62,11 +54,11 @@ def test_p_pm_alpha_and_direction(dg8, dg8_oracles):
 def test_p_pm_alpha_half_hubs():
     # M = N/2 leaves one upper qubit: S+ is a single rotation
     g = netgraph.generate(8, 4, 4, 4, rng_seed=1)
-    spec = ffhub.spectrum_G(g)
+    psi_plus, psi_minus = ffhub.RankTwoEvolution.of(g).v.T
     oracles = build_oracle_set(g)
     v_plus, v_minus = (ffhub.prepared_state(oracles, s) for s in (+1, -1))
-    assert np.max(np.abs(v_plus - spec.psi_plus)) < 1e-15
-    assert np.max(np.abs(v_minus + spec.psi_minus)) < 1e-15
+    assert np.max(np.abs(v_plus - psi_plus)) < 1e-15
+    assert np.max(np.abs(v_minus + psi_minus)) < 1e-15
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -124,10 +116,9 @@ def test_marked_projector_circuit_action(dg8, dg8_dense, dg8_oracles):
     # the rank-two circuit acts as e^{-i lambda t} on each eigenvector and
     # as the identity on the zero eigenspace
     t = 1.3
-    spec = ffhub.spectrum_G(dg8)
+    evolution = ffhub.RankTwoEvolution.of(dg8)
     block = extract_block(ffhub._rank_two_circuit(dg8_oracles, t), 3)
-    for lam, vec in ((spec.lambda_plus, spec.psi_plus),
-                     (spec.lambda_minus, spec.psi_minus)):
+    for lam, vec in zip((evolution.lam, -evolution.lam), evolution.v.T):
         assert np.max(np.abs(block @ vec - np.exp(-1j * lam * t) * vec)) < 1e-14
     evals, evecs = np.linalg.eigh(dg8_dense["G"])
     zero_vecs = evecs[:, np.abs(evals) < 1e-10]
@@ -155,6 +146,18 @@ def test_classical_expg_t0_and_perp(dg8, dg8_dense):
     zero_vec = evecs[:, np.argmin(np.abs(evals))].astype(np.complex128)
     out = ffhub.classical_expG_apply(dg8, 7.7, zero_vec)
     assert np.linalg.norm(out - zero_vec) < 1e-12
+
+
+def test_zero_link_matrix_has_no_columns():
+    # G is zero without hubs and with hubs only: no columns, identity
+    doc = netgraph.to_json_dict(netgraph.dg8())
+    doc["hubs"], doc["params"]["M"] = list(range(8)), 8
+    for g in (netgraph.generate(8, 0, 2, 1, 0), netgraph.from_json_dict(doc)):
+        assert not g.dense_link_matrix().any()
+        evolution = ffhub.RankTwoEvolution.of(g)
+        assert evolution.v.shape == (8, 0) and evolution.lam == 0.0
+        assert np.array_equal(ffhub.classical_expG_apply(g, 1.3, np.eye(8)),
+                              np.eye(8))
 
 
 def test_classical_expg_group_property(dg8):

@@ -16,10 +16,11 @@ def test_expm_diagonal_pi():
 
 
 def test_expm_eigenvector_phase(dg8, dg8_dense):
-    from hubsim.ffhub import spectrum_G
-    spec = spectrum_G(dg8)
-    out = refcheck.dense_expm(dg8_dense["G"], 1.3) @ spec.psi_plus
-    expected = np.exp(-1j * spec.lambda_plus * 1.3) * spec.psi_plus
+    from hubsim.ffhub import RankTwoEvolution
+    evolution = RankTwoEvolution.of(dg8)
+    psi_plus = evolution.v[:, 0]
+    out = refcheck.dense_expm(dg8_dense["G"], 1.3) @ psi_plus
+    expected = np.exp(-1j * evolution.lam * 1.3) * psi_plus
     assert np.linalg.norm(out - expected) < 1e-11
 
 
