@@ -50,12 +50,12 @@ Every Dyson object is built from two leaf encodings, exp(-iGt) and the
 residual H2 = A - G.  A solve's ``LeafBlocks`` supplies both and is the one
 place that knows the graph, the oracle set and the evaluation tier; every
 builder here takes it and nothing it already carries.  The "circuit" tier
-extracts the residual from its sparse-piece encodings and, once per
-solve, takes the exp(-iGt) columns from the preparations of ``ffhub``'s
-exact rank-two circuit run on |0>; "classical-ff" takes them from the
-eigenvectors of the rank-two spectrum and substitutes the dense
-residual, which keeps the assembly testable up to larger N.  The tiers
-agree to rounding.
+extracts the residual from its sparse-piece encodings and takes the
+exp(-iGt) columns from the preparations of ``ffhub``'s exact rank-two
+circuit run on |0>; "classical-ff" takes them from the eigenvectors of
+the rank-two spectrum and substitutes the dense residual, which keeps the
+assembly testable up to larger N.  The tiers agree to rounding.  Either
+tier builds both leaves once per oracle set and keeps them there.
 The time select sum_d |d><d| (x) exp(-iG d tau/D) is the same rank-two
 circuit with its phases controlled on the grid register: no ancilla and
 two O_H queries whatever D is.
@@ -183,15 +183,20 @@ class LeafBlocks:
 
     ``method`` names the tier as in ``simulate_full``: "circuit" extracts
     the leaf blocks from their circuits, "classical-ff" substitutes the
-    verified dense forms.  The graph is validated here, once.  One source
-    per solve builds the residual encoding and the exp(-iGt) columns once
-    each and drops them with the solve; the evolution costs two N-entry
-    columns, not an N x N extraction.  The exp(-iGt) circuits are exact,
-    so they take no share of the error budget.  The oracle set is built
-    here when none is given, its tables on first use; one built on another
-    graph raises ``ParameterError``.  Both tiers hold dense N x N blocks,
-    so a graph past the dense-block cap raises ``ResourceError`` before
-    anything is validated or built.
+    verified dense forms.  The graph is validated here, once per solve.
+    The two leaf results depend on the graph alone, so they are kept on
+    the oracle set, one entry per tier (``OracleSet.leaf_result``): the
+    first solve on a set builds the normalized residual block and the
+    exp(-iGt) columns, read-only, and every later solve on it reuses
+    them, so a repeated circuit solve applies no oracle gate for its
+    leaves.  No circuit or encoding is kept: ``h2_encoding`` belongs to
+    the solve and is built only when a circuit asks for it.  The evolution
+    costs two N-entry columns, not an N x N extraction.  The exp(-iGt)
+    circuits are exact, so they take no share of the error budget.  The
+    oracle set is built here when none is given, its tables on first use;
+    one built on another graph raises ``ParameterError``.  Both tiers hold
+    dense N x N blocks, so a graph past the dense-block cap raises
+    ``ResourceError`` before anything is validated or built.
     """
 
     def __init__(self, graph: HubSparseGraph, method: str = "circuit",
@@ -210,12 +215,16 @@ class LeafBlocks:
         self.method = method
         self.oracles = oracle_set
 
-    @cached_property
+    @property
     def evolution(self) -> RankTwoEvolution:
         """exp(-iGt) as its two eigenvector columns: the circuit tier runs
         the preparations V+- of the rank-two circuit once each on |0>, one
         O_H query apiece; "classical-ff" takes psi+- of the rank-two
-        spectrum."""
+        spectrum.  Built once per oracle set and tier."""
+        return self.oracles.leaf_result((self.method, "evolution"),
+                                        self._build_evolution)
+
+    def _build_evolution(self) -> RankTwoEvolution:
         if self.method == "circuit":
             return RankTwoEvolution.of(self.graph, self.oracles)
         return RankTwoEvolution.of(self.graph)
@@ -225,16 +234,25 @@ class LeafBlocks:
         return encode_H2(self.oracles)
 
     def h2_block(self) -> tuple[np.ndarray, float, int]:
-        """(normalized residual block, alpha2, ancilla count)."""
+        """(normalized residual block, read-only; alpha2; ancilla count),
+        built once per oracle set and tier."""
+        return self.oracles.leaf_result((self.method, "h2"),
+                                        self._build_h2_block)
+
+    def _build_h2_block(self) -> tuple[np.ndarray, float, int]:
         if self.method == "circuit":
-            be = self.h2_encoding
-            return be.block(), be.alpha, be.m
-        _, alpha2 = evolution_scales(self.graph)
-        n = self.graph.n_qubits
-        dense = (self.graph.dense_adjacency()
-                 - self.graph.dense_link_matrix()).astype(np.complex128)
-        m_book = n + 6 if self.graph.m_hubs else n + 4
-        return dense / alpha2, alpha2, m_book
+            # a local encoding: only its block outlives the extraction
+            be = encode_H2(self.oracles)
+            block, alpha2, m = be.block(), be.alpha, be.m
+        else:
+            _, alpha2 = evolution_scales(self.graph)
+            n = self.graph.n_qubits
+            dense = (self.graph.dense_adjacency()
+                     - self.graph.dense_link_matrix()).astype(np.complex128)
+            block = dense / alpha2
+            m = n + 6 if self.graph.m_hubs else n + 4
+        block.flags.writeable = False
+        return block, alpha2, m
 
 
 # -- time select and dressed residual ------------------------------------------
@@ -661,19 +679,26 @@ def segment_block_at_order(be: BlockEncoding, big_k: int) -> np.ndarray:
 # -- end-to-end pipeline -------------------------------------------------------
 
 
-def _structural_oracle_profile(graph, n_rank_two, n_h2):
+def _structural_oracle_profile(hubs: bool, n_rank_two: int,
+                               n_h2: int) -> dict[str, int]:
     """Oracle tallies from the circuit structure: each rank-two circuit
     (a rotation or a time select) queries O_H twice, and not at all
     without hubs; each residual application touches every oracle O(1)
     times."""
-    if graph.m_hubs:
+    if hubs:
         return {"O_H": 2 * n_rank_two + 2 * n_h2, "O_A": 6 * n_h2,
                 "O_K": 10 * n_h2, "O_L": 2 * n_h2, "O_Z": 2 * n_h2}
     return {"O_A": 2 * n_h2, "O_K": 4 * n_h2, "O_L": 2 * n_h2}
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RunReport:
+    """What one solve ran: its schedule, scales, amplification degree L
+    (``aa_degree``) and whether the graph has hubs.  The query tallies and
+    the budget shares are derived from those on request, so a kept report
+    holds no dict.  A t = 0 solve has no segment, no tallies and no
+    budget."""
+
     t: float
     eps: float
     method: str
@@ -683,9 +708,31 @@ class RunReport:
     tau: float
     alpha1: float
     alpha2: float
-    queries: dict
-    budget: dict
+    aa_degree: int
+    hubs: bool
     norm_deficit: float
+
+    @property
+    def queries(self) -> dict[str, int]:
+        """Oracle tallies: each segment runs the segment oracle L times,
+        each applying K dressed residuals, and each dressed residual
+        applies the time select twice; the rotation stage runs once per
+        segment."""
+        if not self.segments:
+            return {}
+        n_h2 = self.aa_degree * self.big_k * self.segments
+        return _structural_oracle_profile(self.hubs,
+                                          2 * n_h2 + self.segments, n_h2)
+
+    @property
+    def budget(self) -> dict[str, float]:
+        """Per-slice scheduled shares: eps_segment = eps/n for the series
+        and eps_segment / 10 for the amplification."""
+        if not self.segments:
+            return {}
+        eps_segment = self.eps / self.segments
+        return {"segment_series": eps_segment,
+                "segment_amplification": eps_segment / 10.0}
 
     def as_dict(self) -> dict:
         return {
@@ -710,7 +757,11 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     selects the tier of the solve's ``LeafBlocks``: "circuit" extracts
     every leaf from its circuit, "classical-ff" substitutes the verified
     dense forms.  The rotation applies that source's exp(-iG tau) to the
-    state at O(N).  The rotation and the time select are exact and claim
+    state at O(N).  Passing the same ``oracle_set`` again reuses the
+    graph-only leaves, the residual block and the exp(-iGt) columns, which
+    the first solve on it built: a repeated circuit solve applies no
+    oracle gate for them and returns the same bytes as a solve on a fresh
+    set.  The rotation and the time select are exact and claim
     nothing.  The report's ``budget`` lists the per-slice scheduled shares,
     eps_segment = eps/n and eps_aa = eps_segment / 10, but the amplified
     segment claims eps_aa + 2 eps_segment (``fixed_point_aa``), so the n
@@ -730,9 +781,10 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         raise ParameterError("psi0 must be normalized")
     alpha1, alpha2 = evolution_scales(graph)
 
+    hubs = bool(graph.m_hubs)
     if t == 0.0:
-        report = RunReport(t, eps, method, 0, 0, 0, 0.0, alpha1, alpha2, {},
-                           {}, 0.0)
+        report = RunReport(t, eps, method, 0, 0, 0, 0.0, alpha1, alpha2, 0,
+                           hubs, 0.0)
         return psi, report
 
     cfg = default_config(graph, t, eps)
@@ -742,18 +794,12 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
     check_eps_floor(eps_aa, eps)
 
     amplified = fixed_point_aa(dyson_segment(leaves, cfg), eps_aa)
+    evolution = leaves.evolution
     for _ in range(n_slices):
-        psi = leaves.evolution.apply(cfg.tau, amplified.apply_block(psi))
-    # the segment oracle runs L times, each applying K dressed residuals,
-    # and each dressed residual applies the time select twice; the
-    # rotation stage runs once per segment
-    n_h2 = amplified.aa_degree * cfg.big_k * n_slices
-    queries = _structural_oracle_profile(graph, 2 * n_h2 + n_slices, n_h2)
+        psi = evolution.apply(cfg.tau, amplified.apply_block(psi))
 
     norm_deficit = float(1.0 - np.linalg.norm(psi))
     report = RunReport(
         t, eps, method, n_slices, cfg.big_k, cfg.big_d, cfg.tau, alpha1,
-        alpha2, queries,
-        {"segment_series": cfg.eps_segment, "segment_amplification": eps_aa},
-        norm_deficit)
+        alpha2, amplified.aa_degree, hubs, norm_deficit)
     return psi, report

@@ -131,13 +131,20 @@ def prepared_state(oracles: OracleSet, sign: int) -> np.ndarray:
     return column[:, 0]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class RankTwoEvolution:
     """exp(-iGt) = I + V diag(e^{-i lam t} - 1, e^{i lam t} - 1) V^dag,
     held as the eigenvector columns V = [v+, v-] of the eigenvalues +-lam
     (either sign of each column gives the same evolution).  Where G is
     zero V has no columns and every block is the identity.  ``at`` and
-    ``apply`` raise ``ParameterError`` for a non-finite t."""
+    ``apply`` raise ``ParameterError`` for a non-finite t.  ``of`` returns
+    V and V^dag read-only, so one evolution can serve every solve on a
+    graph."""
 
     v: np.ndarray
     lam: float
@@ -151,7 +158,8 @@ class RankTwoEvolution:
         where G is zero: without hubs, or with hubs only."""
         n, m = graph.n_nodes, graph.m_hubs
         if not 0 < m < n:
-            return cls(np.zeros((n, 0), dtype=np.complex128), 0.0)
+            return cls(_read_only(np.zeros((n, 0), dtype=np.complex128)),
+                       0.0)
         if oracles is None:
             mask = graph.hub_mask()
             u_hub = mask.astype(np.complex128) / np.sqrt(m)
@@ -160,20 +168,25 @@ class RankTwoEvolution:
                        (u_hub - u_reg) / np.sqrt(2.0))
         else:
             columns = tuple(prepared_state(oracles, sign) for sign in (+1, -1))
-        return cls(np.stack(columns, axis=1), link_norm(graph))
+        return cls(_read_only(np.stack(columns, axis=1)), link_norm(graph))
 
     def _scaled(self, t: float) -> np.ndarray:
         """V diag(c(t)): each column times its phase factor minus one."""
         if not math.isfinite(t):
             raise ParameterError(f"t must be finite, got {t}")
+        if not self.v.shape[1]:
+            return self.v  # no phase without hubs, where V has no columns
         z = cmath.exp(1j * self.lam * t)
-        # no phase without hubs, where V has no columns
-        return self.v * [z.conjugate() - 1.0, z - 1.0][:self.v.shape[1]]
+        # set entry by entry: no array is built from a Python sequence
+        phases = np.empty(2, dtype=np.complex128)
+        phases[0] = z.conjugate() - 1.0
+        phases[1] = z - 1.0
+        return self.v * phases
 
     @cached_property
     def _vh(self) -> np.ndarray:
-        """V^dag, formed once per evolution."""
-        return self.v.conj().T
+        """V^dag, formed once per evolution, read-only like V."""
+        return _read_only(self.v.conj().T)
 
     def at(self, t: float) -> np.ndarray:
         """The dense N x N block of exp(-iGt)."""

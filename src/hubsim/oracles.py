@@ -71,13 +71,26 @@ class OracleSet:
     """The five oracle gates for one graph, sharing one query counter.
 
     The node count is checked here; every table is built on first use,
-    so a solve that never applies a gate or reads a row builds none."""
+    so a solve that never applies a gate or reads a row builds none.
+    The set also keeps the results that depend on the graph alone, such as
+    a solve tier's leaf blocks (``leaf_result``), so every solve that
+    reuses it reuses them, and they are freed with it."""
 
     def __init__(self, graph: HubSparseGraph):
         self.graph = graph
         self.counter = QueryCounter()
         if 2 ** graph.n_qubits != graph.n_nodes:
             raise OracleContractError("node count must be a power of two")
+        self._leaf_results: dict = {}
+
+    def leaf_result(self, key, build):
+        """The graph-only result stored under ``key``: ``build()`` on the
+        first request, the stored object on every later one.  The builder
+        should return read-only arrays, since every later caller shares
+        them."""
+        if key not in self._leaf_results:
+            self._leaf_results[key] = build()
+        return self._leaf_results[key]
 
     @cached_property
     def _zero(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import importlib
 import itertools
 import math
@@ -680,6 +681,7 @@ def test_simulate_t0(dg8):
     out, report = dyson.simulate_full(dg8, 0.0, 1e-3, psi0)
     assert np.array_equal(out, psi0)
     assert report.segments == 0
+    assert (report.queries, report.budget) == ({}, {})
 
 
 def test_simulate_dg8_both_methods(dg8, dg8_dense):
@@ -860,6 +862,125 @@ def test_simulate_builds_each_exp_g_once(dg8, monkeypatch):
     LeafBlocks(hub_free.graph, "circuit", hub_free).evolution
     assert not any(hub_free.counter.snapshot().values())
     dyson.simulate_full(hub_free.graph, 1.3, 1e-2, psi0, method="circuit")
+
+
+def _unit_state(graph, seed):
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=graph.n_nodes) + 1j * rng.normal(size=graph.n_nodes)
+    return psi0 / np.linalg.norm(psi0)
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_repeated_solve_reuses_the_leaves_bit_for_bit(dg8, method,
+                                                      monkeypatch):
+    # the first solve on an oracle set builds the residual block and the
+    # exp(-iGt) columns; a second solve on it builds neither, and both
+    # return the bytes and the report of a solve on a fresh set
+    psi0 = _unit_state(dg8, 2)
+    oracles = build_oracle_set(dg8)
+    first = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method=method,
+                                oracle_set=oracles)
+
+    def refuse(self):
+        raise AssertionError("graph-only leaf rebuilt")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LeafBlocks, "_build_evolution", refuse)
+        patch.setattr(LeafBlocks, "_build_h2_block", refuse)
+        second = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method=method,
+                                     oracle_set=oracles)
+    fresh = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method=method)
+    for psi, report in (first, second):
+        assert psi.tobytes() == fresh[0].tobytes()
+        assert repr(report.as_dict()) == repr(fresh[1].as_dict())
+
+
+def test_repeated_circuit_solve_applies_no_oracle_gate(dg8):
+    # the leaves are extracted by the first solve alone: a second solve on
+    # the same oracle set leaves its query counter where it was
+    psi0 = _unit_state(dg8, 3)
+    oracles = build_oracle_set(dg8)
+    dyson.simulate_full(dg8, 1.3, 1e-2, psi0, oracle_set=oracles)
+    after_first = oracles.counter.snapshot()
+    assert after_first["O_H"] and after_first["O_A"]
+    dyson.simulate_full(dg8, 0.4, 1e-3, psi0, oracle_set=oracles)
+    assert oracles.counter.snapshot() == after_first
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_cached_leaves_are_read_only(dg8, method):
+    # every later solve on the oracle set shares them
+    leaves = LeafBlocks(dg8, method)
+    block = leaves.h2_block()[0]
+    assert LeafBlocks(dg8, method, leaves.oracles).h2_block()[0] is block
+    evolution = leaves.evolution
+    evolution.at(0.5)  # forms V^dag
+    for array in (block, evolution.v, evolution._vh):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_one_oracle_set_keeps_an_entry_per_tier(dg8):
+    # solving in both tiers on one set gives each tier its own leaves, and
+    # each tier's solve the bytes of a solve on a fresh set
+    oracles = build_oracle_set(dg8)
+    psi0 = _unit_state(dg8, 4)
+    for method in ("circuit", "classical-ff"):
+        shared = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method=method,
+                                     oracle_set=oracles)[0]
+        fresh = dyson.simulate_full(dg8, 1.3, 1e-2, psi0, method=method)[0]
+        assert shared.tobytes() == fresh.tobytes()
+    circuit, dense = (LeafBlocks(dg8, method, oracles)
+                      for method in ("circuit", "classical-ff"))
+    assert circuit.evolution is not dense.evolution
+    assert circuit.h2_block()[0] is not dense.h2_block()[0]
+    assert np.max(np.abs(circuit.h2_block()[0] - dense.h2_block()[0])) \
+        <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["circuit", "classical-ff"])
+def test_solve_on_an_n32_oracle_set_keeps_little(method):
+    # what a solve leaves on its oracle set is its tier's entry: the
+    # 16 KB residual block, the two columns and V^dag, no circuit and no
+    # encoding.  The gate tables belong to the set and are built first.
+    graph = netgraph.generate(32, 2, 8, 2, 7)
+    psi0 = _unit_state(graph, 5)
+    dyson.simulate_full(graph, 1.0, 0.1, psi0, method=method)
+    oracles = build_oracle_set(graph)
+    oracles.gates()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dyson.simulate_full(graph, 1.0, 0.1, psi0, method=method,
+                            oracle_set=oracles)
+        gc.collect()  # the solve's reference cycles are not kept
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 24 * 1024
+
+
+def test_kept_reports_are_small():
+    # a report holds its scalars and no dict: 200 kept reports, each from
+    # its own solve, retain under 400 B apiece
+    graph = netgraph.generate(8, 0, 2, 1, 0)
+    psi0 = _unit_state(graph, 6)
+    oracles = build_oracle_set(graph)
+    _, report = dyson.simulate_full(graph, 0.01, 0.1, psi0,
+                                    method="classical-ff", oracle_set=oracles)
+    assert not hasattr(report, "__dict__")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [dyson.simulate_full(graph, 0.01, 0.1, psi0,
+                                    method="classical-ff",
+                                    oracle_set=oracles)[1]
+                for _ in range(200)]
+        per_report = (tracemalloc.get_traced_memory()[0] - before) / 200
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 200
+    assert per_report < 400
 
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
@@ -1231,4 +1352,5 @@ def test_structural_profile_matches_enumeration(dg8):
         combined = Counter()
         for be in parts:
             combined.update(be.query_profile())
-        assert _structural_oracle_profile(graph, 2, 1) == dict(combined)
+        assert _structural_oracle_profile(bool(graph.m_hubs), 2, 1) \
+            == dict(combined)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from conftest import random_graph_params
@@ -158,6 +160,27 @@ def test_zero_link_matrix_has_no_columns():
         assert evolution.v.shape == (8, 0) and evolution.lam == 0.0
         assert np.array_equal(ffhub.classical_expG_apply(g, 1.3, np.eye(8)),
                               np.eye(8))
+
+
+@pytest.mark.parametrize("graph", [
+    netgraph.dg8(), netgraph.generate(32, 2, 8, 2, 7),
+    netgraph.generate(16, 0, 4, 1, 3)], ids=["dg8", "n32", "hub-free"])
+@pytest.mark.parametrize("tier", ["prepared", "spectrum"])
+def test_evolution_blocks_match_the_list_phase_form(graph, tier):
+    # the phase factors are set entry by entry; every block and apply
+    # keeps the bits of the form that scaled V by a Python list, with two
+    # columns and with none
+    oracles = build_oracle_set(graph) if tier == "prepared" else None
+    evolution = ffhub.RankTwoEvolution.of(graph, oracles)
+    v, vh = evolution.v, evolution.v.conj().T
+    x = np.random.default_rng(3).normal(size=(graph.n_nodes, 3)) + 0j
+    for t in np.random.default_rng(4).uniform(-20.0, 20.0, 50).tolist():
+        z = cmath.exp(1j * evolution.lam * t)
+        scaled = v * [z.conjugate() - 1.0, z - 1.0][:v.shape[1]]
+        block = scaled @ vh
+        block[np.diag_indices(graph.n_nodes)] += 1.0
+        assert np.array_equal(evolution.at(t), block)
+        assert np.array_equal(evolution.apply(t, x), x + scaled @ (vh @ x))
 
 
 def test_classical_expg_group_property(dg8):
