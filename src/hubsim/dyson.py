@@ -59,13 +59,16 @@ tier builds both leaves once per oracle set and keeps them there.
 The time select sum_d |d><d| (x) exp(-iG d tau/D) is the same rank-two
 circuit with its phases controlled on the grid register: no ancilla and
 two O_H queries whatever D is.
-Combined blocks follow the exact composition rules for disjoint ancilla
-banks, so no full-width state is ever materialized.  The composite
-circuits (the time select, the dressed residual, the segment) carry
-complete register bookkeeping but are built on first use, never
-eagerly.  Building one allocates no amplitudes, so any of them can be
-counted (``gate_count``, ``query_profile``) at any width; running one
+The composite circuits (the time select, the dressed residual, the
+segment) carry complete register bookkeeping but are built on first use,
+never eagerly.  Building one allocates no amplitudes, so any of them can
+be counted (``gate_count``, ``query_profile``) at any width; running one
 through ``extract_block`` past the qubit cap raises a resource error.
+The select and dressed blocks come from their circuits by that
+extraction, and a solve never asks for them: the series totals read the
+leaf operands, the residual block and the exp(-iGt) columns, directly.
+The segment's block is its truncated series, so no full-width state is
+ever materialized.
 """
 
 from __future__ import annotations
@@ -258,87 +261,38 @@ class LeafBlocks:
 # -- time select and dressed residual ------------------------------------------
 
 
-class SelectGEncoding(BlockEncoding):
-    """Encoding of sum_d |d><d| (x) exp(-iG d tau / D); block-diagonal in d.
-
-    E(d) = exp(-iG d tau/D) is read off the rank-two ``evolution``; the
-    ancillas are the qubits of the unitary beyond the log2(D) + n system
-    qubits.  Subclasses change only ``_at``, the block at one grid point
-    as a function of E(d)."""
-
-    stage = "select_g"
-
-    def __init__(self, unitary, evolution: RankTwoEvolution, tau: float,
-                 big_d: int, alpha=1.0):
-        self.evolution = evolution
-        self.tau = tau
-        self.big_d = big_d
-        n_sys = int(math.log2(big_d * len(evolution.v)))
-        super().__init__(unitary, alpha, unitary.width - n_sys, n_sys,
-                         label=self.stage)
-
-    def _at(self, e_d: np.ndarray) -> np.ndarray:
-        return e_d
-
-    def d_block(self, d: int) -> np.ndarray:
-        return self._at(self.evolution.at(self.tau * d / self.big_d))
-
-    def _full_block(self) -> np.ndarray:
-        # the dense block spans log2(D) + n system qubits
-        check_dense_block(self.n_sys, self.stage)
-        dim = len(self.evolution.v)
-        total = np.zeros((self.big_d, dim) * 2, dtype=np.complex128)
-        for d in range(self.big_d):
-            total[d, :, d] = self.d_block(d)
-        return total.reshape(2 ** self.n_sys, 2 ** self.n_sys)
-
-
 def build_selectG(leaves: LeafBlocks, tau: float,
-                  big_d: int) -> SelectGEncoding:
-    """Time select over a log2(D)-qubit grid register: the exact rank-two
-    circuit of ``ffhub`` with its two phases controlled bit by bit on d,
-    so it has no ancilla, makes two O_H queries whatever D is and claims
-    eps 0.  Its blocks are read off the exp(-iGt) evolution of ``leaves``,
-    the solve's leaf source; the circuit is built on first use.
-    """
+                  big_d: int) -> BlockEncoding:
+    """Time select sum_d |d><d| (x) exp(-iG d tau/D) over a log2(D)-qubit
+    grid register: the exact rank-two circuit of ``ffhub`` with its two
+    phases controlled bit by bit on d, so it has no ancilla, makes two O_H
+    queries whatever D is and claims eps 0.  The circuit is built on first
+    use, and its block is extracted from it."""
     if big_d < 2 or big_d & (big_d - 1):
         raise ConfigurationError(f"D={big_d} must be a power of two >= 2")
     log_d = int(math.log2(big_d))
+    n_sys = log_d + leaves.graph.n_qubits
     unitary = LazyCircuit(
-        log_d + leaves.graph.n_qubits,
-        lambda: _rank_two_circuit(leaves.oracles, tau / big_d, log_d),
+        n_sys, lambda: _rank_two_circuit(leaves.oracles, tau / big_d, log_d),
         label="select_g")
-    return SelectGEncoding(unitary, leaves.evolution, tau, big_d)
-
-
-class DressedResidualEncoding(SelectGEncoding):
-    """Encoding of sum_d |d><d| (x) e^{iG d tau/D} (A - G) e^{-iG d tau/D}."""
-
-    stage = "dressed_h2"
-
-    def __init__(self, unitary, select, h2_block, alpha2):
-        self.h2_norm_block = h2_block
-        super().__init__(unitary, select.evolution, select.tau, select.big_d,
-                         alpha=alpha2)
-
-    def _at(self, e_d: np.ndarray) -> np.ndarray:
-        return e_d.conj().T @ self.h2_norm_block @ e_d
+    return BlockEncoding(unitary, 1.0, 0, n_sys)
 
 
 def build_dressed_H2(leaves: LeafBlocks, tau: float,
-                     big_d: int) -> DressedResidualEncoding:
-    """Conjugate the residual encoding by the time select.
+                     big_d: int) -> BlockEncoding:
+    """Conjugate the residual encoding by the time select: an encoding of
+    sum_d |d><d| (x) e^{iG d tau/D} (A - G) e^{-iG d tau/D}.
 
     The select has no ancilla, so the residual's bank is the only one
     (m qubits) and the combined block is exactly the product of the three
     sub-blocks, grid value by grid value.  The select and the residual are
     exact encodings, so the result claims eps 0.  The circuit is built on
-    first use.
+    first use, and its block is extracted from it.
     """
     n = leaves.graph.n_qubits
     log_d = int(math.log2(big_d))
     select = build_selectG(leaves, tau, big_d)
-    h2_block, alpha2, m_h2 = leaves.h2_block()
+    _, alpha2, m_h2 = leaves.h2_block()
 
     def build_circuit():
         layout = RegisterLayout(("h2bank", m_h2), ("d", log_d), ("sys", n))
@@ -349,7 +303,7 @@ def build_dressed_H2(leaves: LeafBlocks, tau: float,
         return circ
 
     unitary = LazyCircuit(m_h2 + log_d + n, build_circuit, label="dressed_h2")
-    return DressedResidualEncoding(unitary, select, h2_block, alpha2)
+    return BlockEncoding(unitary, alpha2, m_h2, log_d + n)
 
 
 # -- segment assembly ----------------------------------------------------------
@@ -463,11 +417,14 @@ def _krylov_basis(h: np.ndarray, v: np.ndarray,
     return q, sum(widths[:big_k + 1])
 
 
-def _ordered_series_totals(dressed: DressedResidualEncoding,
+def _ordered_series_totals(h: np.ndarray, evolution: RankTwoEvolution,
+                           tau: float, big_d: int,
                            big_k: int) -> list[np.ndarray]:
     """T_k = sum over d_1 <= ... <= d_k of B(d_k) ... B(d_1), k = 0 .. K,
-    with B(d) = E(d)^dag H E(d) = ``dressed.d_block(d)`` the normalized
-    dressed residual at grid point d, as N_k H^k plus a low-rank term.
+    with B(d) = E(d)^dag H E(d) the normalized dressed residual at grid
+    point d of a D-point grid over [0, tau], H the normalized residual
+    block and E(d) = ``evolution.at(tau d / D)``, as N_k H^k plus a
+    low-rank term.
 
     With E = I + V C V^dag (V the orthonormal exp(-iGt) columns, C
     diagonal), B(d) = H + (terms whose range and co-range lie in
@@ -492,13 +449,11 @@ def _ordered_series_totals(dressed: DressedResidualEncoding,
     min(N, 2(2K + 1)).  Raises EncodingError when the columns are not
     orthonormal to 1e-12 (see ``_check_commuting``).
     """
-    h = dressed.h2_norm_block
     eye = np.eye(h.shape[0], dtype=np.complex128)
     if big_k == 0:
         return [eye]
-    evolution = dressed.evolution
     _check_commuting(evolution)
-    counts = [float(math.comb(dressed.big_d + k - 1, k))
+    counts = [float(math.comb(big_d + k - 1, k))
               for k in range(1, big_k + 1)]
     totals = [eye]
     for n_k, h_k in zip(counts, _powers(h, big_k)):
@@ -510,7 +465,7 @@ def _ordered_series_totals(dressed: DressedResidualEncoding,
     powers_r = np.stack(list(_powers(qh @ h @ q, big_k)))
     reduced = _grid_doubling(powers_r, RankTwoEvolution(qh @ evolution.v,
                                                         evolution.lam),
-                             dressed.tau, dressed.big_d)
+                             tau, big_d)
     q_s, qh_s = q[:, :dim_k], qh[:dim_k]
     for k in range(1, big_k + 1):
         r_k = reduced[k - 1] - counts[k - 1] * powers_r[k - 1]
@@ -648,7 +603,8 @@ def dyson_segment(leaves: LeafBlocks, config: DysonConfig) -> BlockEncoding:
     log_d = int(math.log2(big_d))
     dressed = build_dressed_H2(leaves, tau, big_d)
     lam = float(sum((tau * dressed.alpha) ** k for k in range(big_k + 1)))
-    totals = _ordered_series_totals(dressed, big_k)
+    totals = _ordered_series_totals(leaves.h2_block()[0], leaves.evolution,
+                                    tau, big_d, big_k)
 
     m_seg = sum(width for _, width in
                 _segment_registers(big_k, log_d, dressed.m, n)[:-1])

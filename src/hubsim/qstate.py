@@ -50,9 +50,6 @@ from .errors import ParameterError, RegisterError, ResourceError
 
 DEFAULT_QUBIT_CAP = 26
 DEFAULT_EXTRACT_SYSTEM_CAP = 12
-_NORM_TOL = 1e-10       # spectral_norm: relative change that stops it,
-_NORM_MAX_ITER = 1000   # its step limit
-_NORM_SEED = 7          # and the seed of its start vector
 # extract_block: share of a column batch's amplitudes whose support sends
 # the batch from the sparse to the dense path
 _DENSE_SWITCH = 1 / 32
@@ -96,17 +93,6 @@ class RegisterLayout:
         if name not in self._axes:
             raise RegisterError(f"unknown register {name!r}")
         return self._axes[name]
-
-    def basis_index(self, values: dict[str, int] | None = None) -> int:
-        """Flat index of the basis state with each register set to a value."""
-        values = values or {}
-        idx = 0
-        for name, axes in self._axes.items():
-            v = int(values.get(name, 0))
-            if not (0 <= v < 2 ** len(axes)):
-                raise RegisterError(f"value {v} too wide for register {name!r}")
-            idx = (idx << len(axes)) | v
-        return idx
 
     def __repr__(self):
         body = ", ".join(f"{name}:{len(axes)}"
@@ -581,25 +567,11 @@ def extract_block(op: LinearOperator, n_sys: int) -> np.ndarray:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value by power iteration on B^dag B; nan as soon as
-    an iterate is not finite (a NaN or inf entry)."""
+    """Largest singular value; 0.0 for an empty matrix and nan for one
+    with a NaN or inf entry."""
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.size == 0:
         return 0.0
-    rng = np.random.default_rng(_NORM_SEED)
-    v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    sigma2 = 0.0
-    for _ in range(_NORM_MAX_ITER):
-        w = mat.conj().T @ (mat @ v)
-        sigma2 = float(np.linalg.norm(w))
-        if not np.isfinite(sigma2):
-            return float("nan")
-        if sigma2 == 0.0:
-            return 0.0
-        v = w / sigma2
-        if abs(sigma2 - prev) <= _NORM_TOL * max(1.0, sigma2):
-            break
-        prev = sigma2
-    return float(np.sqrt(sigma2))
+    if not np.isfinite(mat).all():
+        return float("nan")
+    return float(np.linalg.norm(mat, 2))

@@ -37,10 +37,23 @@ def dg8_dense(dg8):
     }
 
 
+def basis_index(layout, values):
+    """Flat index of the basis state with each named register set to a
+    value and every other qubit zero; axis 0 is the most significant."""
+    idx = 0
+    for name, value in values.items():
+        axes = layout.axes(name)
+        assert 0 <= value < 2 ** len(axes), (name, value)
+        for bit, axis in enumerate(reversed(axes)):
+            if value >> bit & 1:
+                idx |= 1 << (layout.width - 1 - axis)
+    return idx
+
+
 def basis_state(layout, values=0):
     """Amplitudes of one basis state, given as a flat index or as register
     values."""
-    idx = values if isinstance(values, int) else layout.basis_index(values)
+    idx = values if isinstance(values, int) else basis_index(layout, values)
     amps = np.zeros(2 ** layout.width, dtype=np.complex128)
     amps[idx] = 1.0
     return amps

@@ -22,7 +22,7 @@ from hubsim.blockenc import EPS_FLOOR, BlockEncoding, fixed_point_aa
 from hubsim.dyson import DysonConfig, LeafBlocks, default_config
 from hubsim.errors import (ConfigurationError, EncodingError,
                            GraphStructureError, ParameterError, ResourceError)
-from hubsim.ffhub import build_expG, classical_expG_apply
+from hubsim.ffhub import RankTwoEvolution, build_expG, classical_expG_apply
 from hubsim.oracles import build_oracle_set
 from hubsim.qstate import DenseGate, LazyCircuit, extract_block, spectral_norm
 
@@ -66,36 +66,45 @@ def test_default_config_schedule(dg8):
             default_config(dg8, 1.0, eps)
 
 
+def _grid_blocks(be, dim):
+    """The D diagonal dim x dim blocks of an encoding over a grid and a
+    system register, extracted from its circuit: entry d is the block at
+    grid value d."""
+    block = be.block()
+    return [block[lo:lo + dim, lo:lo + dim]
+            for lo in range(0, len(block), dim)]
+
+
 def test_selectg_d0_identity(dg8):
     sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
-    assert spectral_norm(sel.d_block(0) - np.eye(8)) <= 1e-8
+    assert spectral_norm(_grid_blocks(sel, 8)[0] - np.eye(8)) <= 1e-8
 
 
 def test_selectg_last_grid_point(dg8, dg8_dense):
     sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
     target = refcheck.dense_expm(dg8_dense["G"], (3.0 / 4.0) * 0.5)
-    assert spectral_norm(sel.d_block(3) - target) <= 1e-8
+    assert spectral_norm(_grid_blocks(sel, 8)[3] - target) <= 1e-8
 
 
 def test_selectg_all_grid_points_within_eps(dg8, dg8_dense):
     sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.7, big_d=8)
-    for d in range(8):
+    for d, block in enumerate(_grid_blocks(sel, 8)):
         target = refcheck.dense_expm(dg8_dense["G"], (d / 8.0) * 0.7)
-        assert spectral_norm(sel.d_block(d) - target) <= 1e-10
+        assert spectral_norm(block - target) <= 1e-10
 
 
 @pytest.mark.parametrize("log_d", [1, 2, 3])
 def test_select_slices_are_the_per_t_evolutions(dg8, log_d):
     # sum_d |d><d| (x) exp(-iG tau d/D) with no ancilla and two O_H
-    # queries whatever D is; each d_block is the per-t circuit's block
+    # queries whatever D is; each grid block is the per-t circuit's block
     big_d = 2 ** log_d
     tau = 0.37 * big_d
     leaves = LeafBlocks(dg8)
     sel = dyson.build_selectG(leaves, tau, big_d)
     assert (sel.m, sel.query_profile()) == (0, {"O_H": 2})
-    for d in range(big_d):
+    for d, block in enumerate(_grid_blocks(sel, 8)):
         per_t = build_expG(leaves.oracles, tau * d / big_d).block()
-        assert np.max(np.abs(sel.d_block(d) - per_t)) <= 1e-13
+        assert np.max(np.abs(block - per_t)) <= 1e-13
 
 
 def test_selectg_requires_power_of_two(dg8):
@@ -104,13 +113,12 @@ def test_selectg_requires_power_of_two(dg8):
 
 
 def test_selectg_honest_circuit_block_diagonal(dg8):
-    # 5-qubit extraction of the whole select (no ancilla): the grid
-    # register never mixes, and diagonal blocks match the algebraic path
+    # the block is the 5-qubit extraction of the whole select (no
+    # ancilla), and the grid register never mixes
     sel = dyson.build_selectG(LeafBlocks(dg8), tau=0.5, big_d=4)
     assert (sel.m, sel.unitary.width) == (0, 5)
-    circ_block = extract_block(sel.unitary, sel.n_sys)
-    alg_block = sel.block()
-    assert np.max(np.abs(circ_block - alg_block)) < 1e-13
+    circ_block = sel.block()
+    assert np.array_equal(circ_block, extract_block(sel.unitary, sel.n_sys))
     dim = 8
     for d1 in range(4):
         for d2 in range(4):
@@ -121,40 +129,42 @@ def test_selectg_honest_circuit_block_diagonal(dg8):
 
 
 def test_full_grid_blocks_are_resource_guarded(dg8):
-    # log2(4096) + 3 = 15 system qubits: a (D 2^n)^2 dense block of 16 GiB
+    # log2(4096) + 3 = 15 system qubits: a (D 2^n)^2 dense block of 16 GiB,
+    # which the extraction refuses past its 12 system qubits
     sel = dyson.build_selectG(LeafBlocks(dg8, "classical-ff"), tau=1.0 / 16.0,
                               big_d=4096)
     with pytest.raises(ResourceError) as err:
         sel.block()
-    assert err.value.stage == "select_g"
+    assert err.value.stage == "extract_block"
     dr = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"),
                                 tau=1.0 / 16.0, big_d=4096)
     with pytest.raises(ResourceError) as err:
         dr.block()
-    assert err.value.stage == "dressed_h2"
+    assert err.value.stage == "extract_block"
 
 
 def test_dressed_d0_is_residual(dg8, dg8_dense):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     target = (dg8_dense["A"] - dg8_dense["G"]) / dr.alpha
-    assert spectral_norm(dr.d_block(0) - target) <= 1e-10
+    assert spectral_norm(_grid_blocks(dr, 8)[0] - target) <= 1e-10
 
 
 def test_dressed_blocks_match_dense_conjugation(dg8, dg8_dense):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
     residual = dg8_dense["A"] - dg8_dense["G"]
-    for d in range(4):
+    for d, block in enumerate(_grid_blocks(dr, 8)):
         s = (d / 4.0) * 0.5
         rot = refcheck.dense_expm(dg8_dense["G"], s)
         target = rot.conj().T @ residual @ rot / dr.alpha
-        assert spectral_norm(dr.d_block(d) - target) <= 1e-8
+        assert spectral_norm(block - target) <= 1e-8
 
 
 def test_dressed_blocks_unitarily_similar(dg8):
     dr = dyson.build_dressed_H2(LeafBlocks(dg8), tau=0.5, big_d=4)
-    base = np.sort(np.linalg.eigvalsh(dr.d_block(0)))
-    for d in range(1, 4):
-        evals = np.sort(np.linalg.eigvalsh(dr.d_block(d)))
+    first, *rest = _grid_blocks(dr, 8)
+    base = np.sort(np.linalg.eigvalsh(first))
+    for block in rest:
+        evals = np.sort(np.linalg.eigvalsh(block))
         assert np.max(np.abs(evals - base)) < 1e-9
 
 
@@ -187,13 +197,44 @@ _TOTALS_GRAPHS = [("dg8", "circuit"),
                   (_SMALL_HUB_PARAMS[-1], "circuit")]
 
 
-def _brute_force_totals(dressed, big_k):
+@dataclasses.dataclass(frozen=True)
+class _Operands:
+    """The operands of ``dyson._ordered_series_totals`` as a solve passes
+    them: a graph's normalized residual block H and exp(-iGt) evolution,
+    on a D-point grid over [0, tau]."""
+
+    graph: netgraph.HubSparseGraph
+    h: np.ndarray
+    evolution: RankTwoEvolution
+    tau: float
+    big_d: int
+
+    def totals(self, big_k):
+        return dyson._ordered_series_totals(self.h, self.evolution, self.tau,
+                                            self.big_d, big_k)
+
+
+def _operands(graph, big_d, method="classical-ff", tau=None):
+    """The operands of ``graph``'s leaves in tier ``method``; tau defaults
+    to the longest slice, 1/(2 alpha2)."""
+    if tau is None:
+        tau = 1.0 / (2.0 * dyson.evolution_scales(graph)[1])
+    leaves = LeafBlocks(graph, method)
+    return _Operands(graph, leaves.h2_block()[0], leaves.evolution, tau,
+                     big_d)
+
+
+def _brute_force_totals(ops, big_k):
     """[T_1, ..., T_K], T_k the sum over every nondecreasing tuple
-    d_1 <= ... <= d_k of B(d_k) ... B(d_1) with B(d) the dressed residual
-    at grid point d, enumerated depth first: each product extends the
-    product of its prefix by one factor."""
-    b_grid = [dressed.d_block(d) for d in range(dressed.big_d)]
-    dim = len(b_grid[0])
+    d_1 <= ... <= d_k of B(d_k) ... B(d_1) with B(d) = E(d)^dag H E(d) the
+    dressed residual at grid point d and E(d) = exp(-iG d tau/D) from
+    ``refcheck.dense_expm``, enumerated depth first: each product extends
+    the product of its prefix by one factor."""
+    g = ops.graph.dense_link_matrix().astype(np.complex128)
+    e_grid = [refcheck.dense_expm(g, ops.tau * d / ops.big_d)
+              for d in range(ops.big_d)]
+    b_grid = [e_d.conj().T @ ops.h @ e_d for e_d in e_grid]
+    dim = len(ops.h)
     totals = [np.zeros((dim, dim), dtype=np.complex128)
               for _ in range(big_k)]
 
@@ -208,18 +249,17 @@ def _brute_force_totals(dressed, big_k):
     return totals
 
 
-def _assert_totals_match_brute_force(dressed, totals, big_k):
+def _assert_totals_match_brute_force(ops, totals, big_k):
     # the doubling conjugates whole products by one bit evolution, which
     # equals the product of conjugated factors only up to the unitarity
     # defect of the bit evolutions formed from the columns (rounding in
     # both tiers)
-    dim = len(dressed.h2_norm_block)
-    log_d = int(np.log2(dressed.big_d))
+    dim = len(ops.h)
+    log_d = int(np.log2(ops.big_d))
     defect = max((spectral_norm(e.conj().T @ e - np.eye(dim))
-                  for e in (dressed.evolution.at(dressed.tau * 2 ** j
-                                                 / dressed.big_d)
+                  for e in (ops.evolution.at(ops.tau * 2 ** j / ops.big_d)
                             for j in range(log_d))), default=0.0)
-    for k, brute in enumerate(_brute_force_totals(dressed, big_k), 1):
+    for k, brute in enumerate(_brute_force_totals(ops, big_k), 1):
         scale = max(1.0, np.max(np.abs(brute)))
         assert np.max(np.abs(totals[k] - brute)) \
             <= (1e-10 + k * log_d * defect) * scale
@@ -235,19 +275,11 @@ def test_series_totals_match_brute_force_ordered_sum(graph_key, method,
         graph = netgraph.dg8()
     else:
         graph = netgraph.generate(*graph_key, rng_seed=3)
-    _, alpha2 = dyson.evolution_scales(graph)
-    tau = 1.0 / (2.0 * alpha2)
-    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), tau, big_d)
+    ops = _operands(graph, big_d, method)
     for big_k in (1, 2, 3):
         seg = dyson.dyson_segment(LeafBlocks(graph, method),
-                                  DysonConfig(tau, big_d, big_k, 2.0))
-        _assert_totals_match_brute_force(dressed, seg.series_totals, big_k)
-
-
-def _dressed(graph, big_d, method="classical-ff"):
-    _, alpha2 = dyson.evolution_scales(graph)
-    return dyson.build_dressed_H2(LeafBlocks(graph, method),
-                                  1.0 / (2.0 * alpha2), big_d)
+                                  DysonConfig(ops.tau, big_d, big_k, 2.0))
+        _assert_totals_match_brute_force(ops, seg.series_totals, big_k)
 
 
 _SPLIT_PARAMS = [p for p in random_graph_params() if p[0] <= 32] \
@@ -265,20 +297,20 @@ def test_split_totals_match_brute_force(params, seed, big_k, log_d):
     # ordered sum: M = 0, 1, 2 and 4, h = 1, and Krylov spaces from
     # dimension 2 (V invariant) to saturated and unsaturated
     graph = netgraph.generate(*params, rng_seed=seed)
-    dressed = _dressed(graph, 2 ** log_d)
-    totals = dyson._ordered_series_totals(dressed, big_k)
+    ops = _operands(graph, 2 ** log_d)
+    totals = ops.totals(big_k)
     assert len(totals) == big_k + 1
     assert np.array_equal(totals[0], np.eye(graph.n_nodes))
-    _assert_totals_match_brute_force(dressed, totals, big_k)
+    _assert_totals_match_brute_force(ops, totals, big_k)
     if graph.m_hubs:
-        _krylov_leak(dressed, big_k)  # asserts an orthonormal basis
+        _krylov_leak(ops, big_k)  # asserts an orthonormal basis
 
 
-def _krylov_leak(dressed, big_k):
+def _krylov_leak(ops, big_k):
     """(Q, dim S_K, ||(I - Q Q^dag) H Q||): the last is zero to rounding
     exactly when the span of Q is invariant under H."""
-    h = dressed.h2_norm_block
-    q, dim_k = dyson._krylov_basis(h, dressed.evolution.v, big_k)
+    h = ops.h
+    q, dim_k = dyson._krylov_basis(h, ops.evolution.v, big_k)
     assert np.allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-13)
     return q, dim_k, np.linalg.norm(h @ q - q @ (q.conj().T @ h @ q))
 
@@ -287,25 +319,23 @@ def test_split_totals_on_a_saturated_krylov_space(dg8):
     # on dg8, S_j stops growing at dimension 5 from j = 2 on; the blocks
     # past that deflate at rounding level, so K = 3 needs no more columns
     # than K = 8
-    dressed = _dressed(dg8, 8)
+    ops = _operands(dg8, 8)
     for big_k, dim_k in ((1, 4), (2, 5), (3, 5), (8, 5)):
-        q, got, leak = _krylov_leak(dressed, big_k)
+        q, got, leak = _krylov_leak(ops, big_k)
         assert (q.shape[1], got) == (5, dim_k)
         assert leak < 1e-13
-    _assert_totals_match_brute_force(
-        dressed, dyson._ordered_series_totals(dressed, 3), 3)
+    _assert_totals_match_brute_force(ops, ops.totals(3), 3)
 
 
 def test_split_totals_on_an_unsaturated_krylov_space():
     # generate(32, 2, 8, 4) at seed 0: S_2K grows by 4 dimensions per K
     # and is not invariant under H, so the totals rest on the argument
     # that k <= K factors take S_K into S_2K
-    dressed = _dressed(netgraph.generate(32, 2, 8, 4, rng_seed=0), 8)
-    q, dim_k, leak = _krylov_leak(dressed, 3)
+    ops = _operands(netgraph.generate(32, 2, 8, 4, rng_seed=0), 8)
+    q, dim_k, leak = _krylov_leak(ops, 3)
     assert (q.shape[1], dim_k) == (14, 8)
     assert leak > 1e-2
-    _assert_totals_match_brute_force(
-        dressed, dyson._ordered_series_totals(dressed, 3), 3)
+    _assert_totals_match_brute_force(ops, ops.totals(3), 3)
 
 
 @pytest.mark.parametrize("leak", [1e-6, 1e-9, 1e-12])
@@ -337,12 +367,11 @@ def test_split_totals_at_an_ff_n16_input_past_the_cut():
     # broke the basis and the solve missed eps by 2x
     graph = netgraph.generate(16, 2, 4, 2, rng_seed=1601646715)
     cfg = default_config(graph, 1.0, 1e-2)
-    dressed = dyson.build_dressed_H2(LeafBlocks(graph, "classical-ff"),
-                                     cfg.tau, cfg.big_d)
+    ops = _operands(graph, cfg.big_d, tau=cfg.tau)
     dense = dyson._grid_doubling(
-        np.stack(list(dyson._powers(dressed.h2_norm_block, cfg.big_k))),
-        dressed.evolution, cfg.tau, cfg.big_d)
-    totals = dyson._ordered_series_totals(dressed, cfg.big_k)
+        np.stack(list(dyson._powers(ops.h, cfg.big_k))),
+        ops.evolution, cfg.tau, cfg.big_d)
+    totals = ops.totals(cfg.big_k)
     for k in range(1, cfg.big_k + 1):
         scale = np.max(np.abs(dense[k - 1]))
         assert np.max(np.abs(totals[k] - dense[k - 1])) <= 1e-13 * scale
@@ -355,21 +384,22 @@ def test_split_totals_at_an_ff_n16_input_past_the_cut():
 
 def test_split_totals_without_hubs_are_powers_of_the_residual():
     # no columns: T_k = C(D + k - 1, k) H^k, whatever the grid
-    dressed = _dressed(netgraph.generate(8, 0, 2, 1, rng_seed=0), 16)
-    h = dressed.h2_norm_block
-    totals = dyson._ordered_series_totals(dressed, 4)
+    ops = _operands(netgraph.generate(8, 0, 2, 1, rng_seed=0), 16)
+    totals = ops.totals(4)
     for k in range(1, 5):
-        expected = math.comb(16 + k - 1, k) * np.linalg.matrix_power(h, k)
+        expected = math.comb(16 + k - 1, k) * np.linalg.matrix_power(ops.h, k)
         assert np.allclose(totals[k], expected, rtol=1e-13, atol=0.0)
-    _assert_totals_match_brute_force(dressed, totals, 4)
+    _assert_totals_match_brute_force(ops, totals, 4)
 
 
 @pytest.mark.parametrize("method", ["circuit", "classical-ff"])
 def test_split_totals_at_first_order_sum_the_grid(dg8, method):
-    # K = 1: T_1 is the plain sum of the D dressed residual blocks
-    dressed = _dressed(dg8, 16, method)
-    t_1 = sum(dressed.d_block(d) for d in range(16))
-    totals = dyson._ordered_series_totals(dressed, 1)
+    # K = 1: T_1 is the plain sum of the D dressed residual blocks, here
+    # extracted from the dressed circuit
+    ops = _operands(dg8, 16, method)
+    dressed = dyson.build_dressed_H2(LeafBlocks(dg8, method), ops.tau, 16)
+    t_1 = sum(_grid_blocks(dressed, 8))
+    totals = ops.totals(1)
     assert len(totals) == 2
     assert np.max(np.abs(totals[1] - t_1)) <= 1e-13 * np.max(np.abs(t_1))
 
@@ -385,12 +415,11 @@ def test_split_totals_match_the_dense_doubling(graph_key, t, eps, method):
     graph = (netgraph.dg8() if graph_key == "dg8"
              else netgraph.generate(*graph_key[:4], rng_seed=graph_key[4]))
     cfg = default_config(graph, t, eps)
-    dressed = dyson.build_dressed_H2(LeafBlocks(graph, method), cfg.tau,
-                                     cfg.big_d)
+    ops = _operands(graph, cfg.big_d, method, cfg.tau)
     dense = dyson._grid_doubling(
-        np.stack(list(dyson._powers(dressed.h2_norm_block, cfg.big_k))),
-        dressed.evolution, cfg.tau, cfg.big_d)
-    totals = dyson._ordered_series_totals(dressed, cfg.big_k)
+        np.stack(list(dyson._powers(ops.h, cfg.big_k))),
+        ops.evolution, cfg.tau, cfg.big_d)
+    totals = ops.totals(cfg.big_k)
     for k in range(1, cfg.big_k + 1):
         scale = np.max(np.abs(dense[k - 1]))
         assert np.max(np.abs(totals[k] - dense[k - 1])) <= 1e-13 * scale
@@ -401,17 +430,16 @@ def test_series_totals_reject_noncommuting_bit_blocks(dg8):
     # columns are orthonormal, so the check reads their Gram matrix: dg8's
     # own columns pass, and columns with an overlap <v+|v-> of 1e-6 or a
     # column of norm 1 + 1e-6 are refused
-    dressed = dyson.build_dressed_H2(LeafBlocks(dg8, "classical-ff"), 0.5, 8)
-    evolution = dressed.evolution
-    assert len(dyson._ordered_series_totals(dressed, 2)) == 3
+    leaves = LeafBlocks(dg8, "classical-ff")
+    h, evolution = leaves.h2_block()[0], leaves.evolution
+    assert len(dyson._ordered_series_totals(h, evolution, 0.5, 8, 2)) == 3
     v_plus, v_minus = evolution.v.T
     tilted = v_minus + 1e-6 * v_plus
     tilted /= np.linalg.norm(tilted)
     for columns in ((v_plus, tilted), ((1.0 + 1e-6) * v_plus, v_minus)):
-        dressed.evolution = dataclasses.replace(
-            evolution, v=np.stack(columns, axis=1))
+        bent = dataclasses.replace(evolution, v=np.stack(columns, axis=1))
         with pytest.raises(EncodingError):
-            dyson._ordered_series_totals(dressed, 2)
+            dyson._ordered_series_totals(h, bent, 0.5, 8, 2)
 
 
 def test_segment_first_order_hub_free():

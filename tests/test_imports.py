@@ -3,9 +3,10 @@ its import line carries ``# noqa: F401``.  That escape hatch is kept for
 names ``perfbench/layertrace.py`` rebinds in the importing module, and for
 no other.  ``__init__.py`` re-exports by design and is skipped.
 
-Every module-level ``_private`` function, class or constant of ``hubsim``
-is referred to somewhere in the package outside its own definition: code
-the package never calls is deleted, not kept for tests."""
+Every module-level ``_private`` function, class or constant of ``hubsim``,
+and every ``_private`` method of its module-level classes, is referred to
+somewhere in the package outside its own definition: code the package
+never calls is deleted, not kept for tests."""
 
 import ast
 import importlib
@@ -71,14 +72,28 @@ def test_kept_imports_are_rebound_by_the_layer_tracer(monkeypatch):
     assert kept and kept <= rebound, kept - rebound
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """``module.name`` of every module-level ``_private`` function, class
-    or constant in ``sources`` (module name -> source) that no code there
-    refers to outside its own definition.  Imports are not references."""
+    or constant, and ``module.Class.name`` of every ``_private`` method of
+    a module-level class, in ``sources`` (module name -> source) that no
+    code there refers to outside its own definition.  A method is referred
+    to by its attribute name, whatever the object.  Dunders are exempt, and
+    imports are not references."""
     defined, references = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}", item.name,
+                             item.lineno, item.end_lineno)
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef))
+                            and _private(item.name)]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
@@ -88,15 +103,15 @@ def unreferenced_privates(sources: dict[str, str]) -> list[str]:
                 names = [node.target.id]
             else:
                 continue
-            defined += [(module, name, node.lineno, node.end_lineno)
-                        for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            defined += [(module, name, name, node.lineno, node.end_lineno)
+                        for name in names if _private(name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.append((module, node.id, node.lineno))
             elif isinstance(node, ast.Attribute):
                 references.append((module, node.attr, node.lineno))
-    return [f"{module}.{name}" for module, name, first, last in defined
+    return [f"{module}.{qualified}"
+            for module, qualified, name, first, last in defined
             if not any(ref == name and not (where == module
                                             and first <= line <= last)
                        for where, ref, line in references)]
@@ -115,5 +130,10 @@ def test_unreferenced_private_is_found():
               "_USED: int = 4\n__all__ = []\n"),
         "b": "from a import _LIMIT, _Called\nimport a\n"
              "print(_Called(), a._USED)\n",
+        "c": ("class Shape:\n    def __init__(self):\n"
+              "        self._area()\n\n"
+              "    def _area(self):\n        return 0\n\n"
+              "    def _unused(self):\n        return self._unused()\n"),
     }
-    assert unreferenced_privates(sources) == ["a._recursive", "a._LIMIT"]
+    assert unreferenced_privates(sources) == [
+        "a._recursive", "a._LIMIT", "c.Shape._unused"]
