@@ -117,13 +117,15 @@ def _next_pow2(x: int) -> int:
 
 @dataclass(frozen=True)
 class DysonConfig:
-    """Segment parameters: length tau, grid size D, truncation order K, and
-    the error budget of one segment."""
+    """Segment parameters: length tau, grid size D, truncation order K, the
+    error budget of one segment, and the number of segments a solve applies
+    (``n_slices`` x tau is the evolution time)."""
 
     tau: float
     big_d: int
     big_k: int
     eps_segment: float
+    n_slices: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -135,6 +137,8 @@ class DysonConfig:
             raise ConfigurationError("K must be >= 0")
         if not (math.isfinite(self.eps_segment) and self.eps_segment > 0):
             raise ConfigurationError("eps_segment must be finite and positive")
+        if self.n_slices < 1:
+            raise ConfigurationError("n_slices must be >= 1")
 
 
 def check_eps(eps: float) -> None:
@@ -158,11 +162,12 @@ def _slice_count(alpha2: float, t: float) -> int:
 
 
 def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
-    """Segment schedule for evolving time t within eps: n = ``_slice_count``
-    equal slices of tau = t/n, each with budget eps_segment = eps/n; K the
-    smallest order whose tail bound clears half that budget; D the grid
-    bound 2 (alpha1 + alpha2) tau / eps_segment, rounded up to a power of
-    two.  t and eps must be finite and positive."""
+    """Segment schedule for evolving time t within eps: n_slices =
+    ``_slice_count`` equal slices of tau = t/n_slices, each with budget
+    eps_segment = eps/n_slices; K the smallest order whose tail bound clears
+    half that budget; D the grid bound 2 (alpha1 + alpha2) tau /
+    eps_segment, rounded up to a power of two.  t and eps must be finite
+    and positive."""
     if not (math.isfinite(t) and t > 0):
         raise ParameterError(f"no segment to schedule for t={t}")
     check_eps(eps)
@@ -174,7 +179,7 @@ def default_config(graph: HubSparseGraph, t: float, eps: float) -> DysonConfig:
     while truncation_bound(alpha2, tau, big_k) > eps_seg / 2.0 and big_k < 60:
         big_k += 1
     big_d = _next_pow2(math.ceil(2.0 * (alpha1 + alpha2) * tau / eps_seg))
-    return DysonConfig(tau, big_d, big_k, eps_seg)
+    return DysonConfig(tau, big_d, big_k, eps_seg, n_slices)
 
 
 # -- leaf blocks --------------------------------------------------------------
@@ -744,18 +749,17 @@ def simulate_full(graph: HubSparseGraph, t: float, eps: float,
         return psi, report
 
     cfg = default_config(graph, t, eps)
-    n_slices = _slice_count(alpha2, t)
     eps_aa = cfg.eps_segment / 10.0
     # refused here, before the series totals of a huge K and D overflow
     check_eps_floor(eps_aa, eps)
 
     amplified = fixed_point_aa(dyson_segment(leaves, cfg), eps_aa)
     evolution = leaves.evolution
-    for _ in range(n_slices):
+    for _ in range(cfg.n_slices):
         psi = evolution.apply(cfg.tau, amplified.apply_block(psi))
 
     norm_deficit = float(1.0 - np.linalg.norm(psi))
     report = RunReport(
-        t, eps, method, n_slices, cfg.big_k, cfg.big_d, cfg.tau, alpha1,
+        t, eps, method, cfg.n_slices, cfg.big_k, cfg.big_d, cfg.tau, alpha1,
         alpha2, amplified.aa_degree, hubs, norm_deficit)
     return psi, report

@@ -64,11 +64,13 @@ class HubSparseGraph(_HubLinks):
     def __post_init__(self):
         if len(self.adj) != self.n_nodes:
             raise GraphStructureError("adjacency length does not match node count")
-        object.__setattr__(self, "_hub_set", frozenset(self.hubs))
-        object.__setattr__(
-            self, "_edge_set",
-            frozenset((min(u, v), max(u, v)) for u in range(self.n_nodes) for v in self.adj[u]),
-        )
+        hub_set = frozenset(self.hubs)
+        object.__setattr__(self, "_hub_set", hub_set)
+        object.__setattr__(self, "_regulars", tuple(
+            i for i in range(self.n_nodes) if i not in hub_set))
+        object.__setattr__(self, "_edge_set", frozenset(
+            (u, v) if u < v else (v, u)
+            for u, row in enumerate(self.adj) for v in row))
 
     # -- basic queries ----------------------------------------------------
 
@@ -87,7 +89,7 @@ class HubSparseGraph(_HubLinks):
 
     @property
     def regulars(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_nodes) if i not in self._hub_set)
+        return self._regulars
 
     @property
     def n_qubits(self) -> int:
@@ -186,18 +188,21 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
         f"hubs {list(graph.hubs)} must be M={m} distinct nodes in [0, {n})",
     ))
 
+    # one set per row, so that the symmetry test costs O(1) per edge even on
+    # a hub's nearly full row; ``has_edge`` would not do, since the graph's
+    # edge set is symmetric by construction and hides a missing back-link
+    row_sets = [set(row) for row in graph.adj]
     structural = []
-    for u in range(n):
-        row = graph.adj[u]
-        if list(row) != sorted(set(row)):
+    for u, row in enumerate(graph.adj):
+        if list(row) != sorted(row_sets[u]):
             structural.append(f"node {u}: neighbor list not sorted/unique")
-        if any(v == u for v in row):
+        if u in row_sets[u]:
             structural.append(f"node {u}: self-loop")
-        if any(not (0 <= v < n) for v in row):
+        if row and (min(row) < 0 or max(row) >= n):
             structural.append(f"node {u}: neighbor out of range")
-        for v in row:
-            if 0 <= v < n and u not in graph.adj[v]:
-                structural.append(f"edge {u}-{v} not symmetric")
+            row = [v for v in row if 0 <= v < n]
+        structural += [f"edge {u}-{v} not symmetric" for v in row
+                       if u not in row_sets[v]]
     conditions.append((
         "simple_symmetric", not structural,
         "; ".join(structural) if structural else "symmetric, zero diagonal",
@@ -211,7 +216,7 @@ def validate(graph: HubSparseGraph) -> ValidationReport:
         f"all hub degrees >= {n - h}",
     ))
 
-    bad_regs = [u for u in graph.regulars if graph.degree(u) > s]
+    bad_regs = [u for u in graph.regulars if len(graph.adj[u]) > s]
     conditions.append((
         "regular_max_degree", not bad_regs,
         f"regular nodes above degree {s}: {bad_regs}" if bad_regs else
@@ -264,6 +269,23 @@ def _feasibility_check(n: int, m: int, s: int, h: int) -> None:
         raise ParameterError(f"h_param={h} must be smaller than n_nodes={n}")
 
 
+def _pair_draws(rng: np.random.Generator, n_reg: int,
+                count: int) -> np.ndarray:
+    """``count`` rows of ``rng.choice(n_reg, 2, replace=False)``, made in one
+    call that leaves ``rng`` in the same state as the ``count`` calls.
+
+    For two of n_reg, numpy's ``choice`` runs Floyd's method: a bounded
+    draw a in [0, n_reg - 1), then b in [0, n_reg), replaced by n_reg - 1
+    when it equals a; then it shuffles the pair with one bounded draw in
+    [0, 2), whose 0 swaps the two.  ``integers`` against the tiled bounds
+    makes the same bounded draws from the same stream, in the same order.
+    """
+    a, b, keep = rng.integers(
+        0, np.tile([n_reg - 1, n_reg, 2], count)).reshape(count, 3).T
+    b = np.where(b == a, n_reg - 1, b)
+    return np.where(keep == 0, [b, a], [a, b]).T
+
+
 def generate(n_nodes: int, m_hubs: int, s_param: int, h_param: int,
              rng_seed: int) -> HubSparseGraph:
     """Draw a random hub-sparse graph satisfying the degree conditions.
@@ -274,6 +296,13 @@ def generate(n_nodes: int, m_hubs: int, s_param: int, h_param: int,
     the degree cap s.  Deletions are capped so no regular node misses more
     than h hubs, which the missing-link encodings rely on.  Deterministic
     for a fixed seed.
+
+    The 2 N max(1, s/2) regular-link attempts each pick two distinct
+    regular nodes.  All their pairs are drawn up front in one call
+    (``_pair_draws``) that reproduces one ``rng.choice(n_reg, 2,
+    replace=False)`` per attempt, so for a given numpy stream the graphs
+    are byte-identical to those of a per-attempt loop.  Set-up costs
+    O(edges + attempts).
     """
     _feasibility_check(n_nodes, m_hubs, s_param, h_param)
     rng = np.random.default_rng(rng_seed)
@@ -282,14 +311,7 @@ def generate(n_nodes: int, m_hubs: int, s_param: int, h_param: int,
     hubs = sorted(int(x) for x in rng.choice(n, size=m, replace=False)) if m else []
     hubset = set(hubs)
     regulars = [v for v in range(n) if v not in hubset]
-    edges: set[tuple[int, int]] = set()
-
-    def add(u, v):
-        edges.add((min(u, v), max(u, v)))
-
-    for u in hubs:
-        for v in regulars:
-            add(u, v)
+    edges = {(u, v) if u < v else (v, u) for u in hubs for v in regulars}
 
     hh_degree = dict.fromkeys(hubs, 0)
     if m >= 2:
@@ -297,11 +319,11 @@ def generate(n_nodes: int, m_hubs: int, s_param: int, h_param: int,
         for i, u in enumerate(hubs):
             for v in hubs[i + 1:]:
                 if complete_hub_core or rng.random() < 0.5:
-                    add(u, v)
+                    edges.add((u, v))
                     hh_degree[u] += 1
                     hh_degree[v] += 1
 
-    missing = dict.fromkeys(regulars, 0)
+    missing = [0] * n
     for u in hubs:
         degree_u = (n - m) + hh_degree[u]
         budget = min(h - 1, degree_u - (n - h))
@@ -311,24 +333,19 @@ def generate(n_nodes: int, m_hubs: int, s_param: int, h_param: int,
         candidates = [v for v in regulars if missing[v] < h]
         rng.shuffle(candidates)
         for v in candidates[:n_delete]:
-            edges.discard((min(u, v), max(u, v)))
+            edges.discard((u, v) if u < v else (v, u))
             missing[v] += 1
 
-    reg_degree = {v: m - missing[v] for v in regulars}
-    n_attempts = 2 * n * max(1, s // 2)
-    for _ in range(n_attempts):
-        if len(regulars) < 2:
-            break
-        u, v = (int(x) for x in rng.choice(len(regulars), size=2, replace=False))
-        u, v = regulars[u], regulars[v]
-        if reg_degree[u] >= s or reg_degree[v] >= s:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edges:
-            continue
-        edges.add(key)
-        reg_degree[u] += 1
-        reg_degree[v] += 1
+    if len(regulars) >= 2:
+        degree = [m - k for k in missing]   # read at regular nodes only
+        pairs = np.asarray(regulars)[
+            _pair_draws(rng, len(regulars), 2 * n * max(1, s // 2))]
+        for u, v in zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist()):
+            if degree[u] >= s or degree[v] >= s or (u, v) in edges:
+                continue
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
 
     graph = _from_edges(n, hubs, edges, m, h, s)
     report = validate(graph)

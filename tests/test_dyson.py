@@ -46,17 +46,22 @@ def test_config_validation():
             DysonConfig(bad, 4, 1, 1e-3)
         with pytest.raises(ConfigurationError):
             DysonConfig(1.0 / 16.0, 4, 1, bad)
+    for bad in (0, -1):
+        with pytest.raises(ConfigurationError):
+            DysonConfig(1.0 / 16.0, 4, 1, 1e-3, bad)
+    assert DysonConfig(1.0 / 16.0, 4, 1, 1e-3).n_slices == 1
 
 
 def test_default_config_schedule(dg8):
     cfg = default_config(dg8, t=1.0, eps=1e-3)
+    assert cfg.n_slices == 16
     assert cfg.tau == pytest.approx(1.0 / 16.0)
     assert cfg.eps_segment == pytest.approx(1e-3 * 0.0625)
     assert cfg.big_d >= 2 * (np.sqrt(12) + 8) * cfg.tau / cfg.eps_segment
     assert dyson.truncation_bound(8.0, cfg.tau, cfg.big_k) <= cfg.eps_segment / 2
     # one segment shorter than 1/(2 alpha2) covers a short t with all of eps
     short = default_config(dg8, t=0.01, eps=1e-3)
-    assert (short.tau, short.eps_segment) == (0.01, 1e-3)
+    assert (short.n_slices, short.tau, short.eps_segment) == (1, 0.01, 1e-3)
     assert (short.big_k, short.big_d) == (3, 256)
     for t in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ParameterError):

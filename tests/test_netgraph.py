@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hubsim import netgraph
 from hubsim.errors import GraphStructureError, ParameterError
@@ -43,6 +47,55 @@ def test_generate_deterministic():
     assert g1.edges() != g3.edges()
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_reg=st.integers(2, 2 ** 20),
+       count=st.integers(0, 300), earlier=st.integers(0, 3))
+@example(seed=0, n_reg=2, count=50, earlier=1)
+@example(seed=1, n_reg=70_000, count=300, earlier=0)
+@example(seed=2, n_reg=3, count=0, earlier=3)
+def test_pair_draws_match_sequential_choice(seed, n_reg, count, earlier):
+    # ``earlier`` unrelated 32-bit draws leave PCG64's buffered half of a
+    # 64-bit output either used or pending, so both alignments are covered
+    bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (bulk, loop):
+        rng.integers(0, 1000, size=earlier)
+    pairs = netgraph._pair_draws(bulk, n_reg, count)
+    expected = [loop.choice(n_reg, 2, replace=False) for _ in range(count)]
+    assert pairs.shape == (count, 2)
+    assert pairs.tolist() == [[int(a), int(b)] for a, b in expected]
+    assert bulk.bit_generator.state == loop.bit_generator.state
+
+
+# sha256 of repr((adj, hubs)) for seeds 0-31 at each parameter set, as the
+# per-attempt rng.choice loop drew them; the benchmark inputs and their
+# fingerprints rest on these graphs
+GOLDEN_PARAMS = [(16, 2, 4, 2), (32, 2, 8, 2), (8, 2, 4, 2), (64, 4, 8, 4),
+                 (16, 0, 4, 2), (16, 1, 4, 1)]
+GOLDEN_DIGEST = \
+    "3a65328583274b11c98436928d3746dea66a9b4dde351a6a18717ef23bbf27c9"
+
+
+def test_generate_golden_digest():
+    digest = hashlib.sha256()
+    for params in GOLDEN_PARAMS:
+        for seed in range(32):
+            g = netgraph.generate(*params, rng_seed=seed)
+            digest.update(repr((g.adj, g.hubs)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_generate_and_validate_large_graph():
+    # N=4096 stays cheap because the symmetry test is linear, not a scan of
+    # a hub's full row per edge.  A fresh graph on the same rows, so that
+    # nothing is read from the report ``generate`` kept on ``g``
+    g = netgraph.generate(4096, 2, 8, 2, rng_seed=3)
+    report = netgraph.validate(netgraph.HubSparseGraph(
+        g.n_nodes, g.adj, g.hubs, g.m_hubs, g.h_param, g.s_param))
+    assert report.passed, report.failures()
+    assert all(g.degree(u) >= 4096 - 2 for u in g.hubs)
+    assert len(g.regulars) == 4094
+
+
 def test_generate_infeasible_raises():
     # more hubs than the regular degree cap can host
     with pytest.raises(ParameterError):
@@ -63,6 +116,21 @@ def test_validate_names_weak_hub(dg8):
     assert not report.passed
     assert any("hub_min_degree" in name and "6" in detail
                for name, ok, detail in report.conditions if not ok)
+
+
+def test_validate_names_a_missing_back_link(dg8):
+    # hub 7's row lacks regular 3 while 3 still lists 7, and the other way
+    # round; the graph's own edge set is symmetric, so only the rows tell
+    for drop_from, keep_in in ((7, 3), (3, 7)):
+        adj = [list(row) for row in dg8.adj]
+        adj[drop_from].remove(keep_in)
+        g = netgraph.HubSparseGraph(8, tuple(tuple(r) for r in adj), (6, 7),
+                                    2, 2, 4)
+        assert g.has_edge(drop_from, keep_in)
+        conditions = {name: (ok, detail)
+                      for name, ok, detail in netgraph.validate(g).conditions}
+        assert conditions["simple_symmetric"] == (
+            False, f"edge {keep_in}-{drop_from} not symmetric")
 
 
 def test_validate_complete_graph_m0():
